@@ -150,10 +150,10 @@ impl Ft {
         self.filter.contains(self.key(vpn, gpu))
     }
 
-    /// A 64-bit digest of the table's occupancy and counters, for epoch
-    /// checkpoints.
+    /// A 64-bit digest of the table's contents, counters and geometry, for
+    /// epoch checkpoints.
     pub fn state_digest(&self) -> u64 {
-        let mut sm = self.filter.len() as u64
+        let mut sm = self.filter.state_digest()
             ^ (self.lookups << 24)
             ^ (self.hits << 48)
             ^ (u64::from(self.mask_bits) << 8)

@@ -4,10 +4,10 @@ use sim_core::{SimRng, StateDigest};
 
 use crate::hash::metro_mix;
 
-const SEED_FP: u64 = 0x5EED_F00D;
-const SEED_IDX: u64 = 0x1D_0BAD_5EED;
-const SEED_ALT: u64 = 0xA17_5EED;
-const MAX_KICKS: usize = 500;
+pub(crate) const SEED_FP: u64 = 0x5EED_F00D;
+pub(crate) const SEED_IDX: u64 = 0x1D_0BAD_5EED;
+pub(crate) const SEED_ALT: u64 = 0xA17_5EED;
+pub(crate) const MAX_KICKS: usize = 500;
 
 /// Error returned when an insertion cannot find room even after relocation.
 ///
@@ -34,6 +34,24 @@ impl std::error::Error for InsertError {}
 /// cells of `fp_bits` bits each. Lookups have no false negatives; false
 /// positives occur at rate ≈ `2 * slots / 2^fp_bits`.
 ///
+/// # Cost
+///
+/// Paper-sized tables hold 500 (PRT) or 2000 (FT) fingerprints, so a large
+/// footprint overflows most insertions into the stash. Each stash entry is
+/// also filed under its bucket, so no operation scans the whole stash:
+///
+/// - `contains`: the key's two buckets, plus the stash entries filed under
+///   those two buckets.
+/// - `remove`: the same scans, then an O(1) `swap_remove` from the stash.
+/// - `insert`: two bucket probes; when both are full, up to 500 kick steps
+///   of one RNG draw, one swap and one alternate-bucket table load each.
+///   While the table has no empty cell the kick steps skip their probes.
+/// - `new`: one hash per possible fingerprint (`2^fp_bits`) to build the
+///   alternate-bucket table.
+///
+/// These are host-side shortcuts only: every answer, cell, stash entry and
+/// RNG draw is the one a plain linear-stash filter produces.
+///
 /// # Examples
 ///
 /// ```
@@ -55,7 +73,17 @@ pub struct CuckooFilter {
     fp_mask: u16,
     fp_bits: u32,
     len: usize,
-    stash: Vec<(usize, u16)>,
+    /// Empty cells in `cells` (derived from them).
+    free_cells: usize,
+    /// `metro_mix(fp, SEED_ALT) % bucket_count` for every fingerprint
+    /// (derived from the geometry).
+    alt_base: Vec<u16>,
+    /// Overflowed `(bucket, fingerprint)` entries. The order is state: it
+    /// is digested, and it decides which entry a `swap_remove` moves.
+    stash: Vec<(u32, u16)>,
+    /// Per bucket, the `(fingerprint, stash position)` of every stash entry
+    /// filed under it (derived from `stash`).
+    stash_index: Vec<Vec<(u16, u32)>>,
     overflows: u64,
     rng: SimRng,
 }
@@ -66,24 +94,36 @@ impl CuckooFilter {
     ///
     /// # Panics
     ///
-    /// Panics if `bucket_count` or `slots` is zero, or `fp_bits` is not in
-    /// `1..=16`.
+    /// Panics if `bucket_count` is zero or above 65536, `slots` is zero, or
+    /// `fp_bits` is not in `1..=16`.
     pub fn new(bucket_count: usize, slots: usize, fp_bits: u32) -> Self {
-        assert!(bucket_count > 0, "bucket_count must be positive");
+        assert!(
+            (1..=1 << 16).contains(&bucket_count),
+            "bucket_count must be in 1..=65536"
+        );
         assert!(slots > 0, "slots must be positive");
         assert!((1..=16).contains(&fp_bits), "fp_bits must be in 1..=16");
+        let fp_mask = if fp_bits == 16 {
+            u16::MAX
+        } else {
+            (1u16 << fp_bits) - 1
+        };
+        // Every value is below `bucket_count`, so it fits in u16; the
+        // narrow entries keep a 16-bit table at 128 KiB.
+        let alt_base = (0..=u64::from(fp_mask))
+            .map(|fp| (metro_mix(fp, SEED_ALT) % bucket_count as u64) as u16)
+            .collect();
         Self {
             cells: vec![0; bucket_count * slots],
             bucket_count,
             slots,
-            fp_mask: if fp_bits == 16 {
-                u16::MAX
-            } else {
-                (1u16 << fp_bits) - 1
-            },
+            fp_mask,
             fp_bits,
             len: 0,
+            free_cells: bucket_count * slots,
+            alt_base,
             stash: Vec::new(),
+            stash_index: vec![Vec::new(); bucket_count],
             overflows: 0,
             rng: SimRng::new(0xC0C0_0F11),
         }
@@ -148,29 +188,79 @@ impl CuckooFilter {
 
     /// Alternate bucket: `(H(fp) - i) mod n`, an involution, so relocation
     /// works without knowing which of the two indices a cell currently uses.
+    /// `H(fp) mod n` is a load from the table built by [`CuckooFilter::new`].
     #[inline]
     fn alt_index(&self, index: usize, fp: u16) -> usize {
-        let h = (metro_mix(u64::from(fp), SEED_ALT) % self.bucket_count as u64) as usize;
-        (h + self.bucket_count - index) % self.bucket_count
+        let h = self.alt_base.get(usize::from(fp)).map_or(0, |&h| usize::from(h));
+        if h >= index {
+            h - index
+        } else {
+            h + self.bucket_count - index
+        }
     }
 
     fn bucket(&self, index: usize) -> &[u16] {
-        &self.cells[index * self.slots..(index + 1) * self.slots]
+        let start = index * self.slots;
+        self.cells.get(start..start + self.slots).unwrap_or(&[])
     }
 
     fn bucket_mut(&mut self, index: usize) -> &mut [u16] {
-        &mut self.cells[index * self.slots..(index + 1) * self.slots]
+        let start = index * self.slots;
+        self.cells
+            .get_mut(start..start + self.slots)
+            .unwrap_or(&mut [])
     }
 
     fn try_place(&mut self, index: usize, fp: u16) -> bool {
-        let b = self.bucket_mut(index);
-        for cell in b.iter_mut() {
-            if *cell == 0 {
-                *cell = fp;
-                return true;
+        // A full table has no empty cell in any bucket.
+        if self.free_cells == 0 {
+            return false;
+        }
+        let Some(cell) = self.bucket_mut(index).iter_mut().find(|c| **c == 0) else {
+            return false;
+        };
+        *cell = fp;
+        self.free_cells -= 1;
+        true
+    }
+
+    /// The stash entries filed under bucket `index`.
+    fn stashed(&self, index: usize) -> &[(u16, u32)] {
+        self.stash_index.get(index).map_or(&[], Vec::as_slice)
+    }
+
+    fn stash_push(&mut self, index: usize, fp: u16) {
+        // Positions are u32 like the buckets: 2^32 stashed fingerprints
+        // would take 64 GiB of stash and index.
+        let pos = self.stash.len() as u32;
+        self.stash.push((index as u32, fp));
+        if let Some(list) = self.stash_index.get_mut(index) {
+            list.push((fp, pos));
+        }
+    }
+
+    /// `swap_remove`s stash entry `pos` and keeps the index in step: `pos`
+    /// leaves its bucket's list, and the last entry, which moves into
+    /// `pos`, is repointed there.
+    fn stash_remove(&mut self, pos: u32) {
+        let Some(&(bucket, _)) = self.stash.get(pos as usize) else {
+            return;
+        };
+        if let Some(list) = self.stash_index.get_mut(bucket as usize) {
+            if let Some(k) = list.iter().position(|&(_, p)| p == pos) {
+                list.swap_remove(k);
             }
         }
-        false
+        self.stash.swap_remove(pos as usize);
+        let Some(&(moved, _)) = self.stash.get(pos as usize) else {
+            return; // `pos` was the last entry: nothing moved
+        };
+        let from = self.stash.len() as u32;
+        if let Some(list) = self.stash_index.get_mut(moved as usize) {
+            if let Some(slot) = list.iter_mut().find(|(_, p)| *p == from) {
+                slot.1 = pos;
+            }
+        }
     }
 
     /// Inserts `key`.
@@ -191,20 +281,22 @@ impl CuckooFilter {
         if self.try_place(i1, fp) || self.try_place(i2, fp) {
             return Ok(());
         }
-        // Kick-out relocation.
+        // Kick-out relocation. Every step draws and swaps even when the
+        // table is full, so the cells and the RNG position stay exact.
         let mut index = if self.rng.chance(0.5) { i1 } else { i2 };
         let mut fp = fp;
         for _ in 0..MAX_KICKS {
             let victim_slot = self.rng.gen_index(self.slots);
-            let slot_base = index * self.slots;
-            std::mem::swap(&mut fp, &mut self.cells[slot_base + victim_slot]);
+            if let Some(cell) = self.cells.get_mut(index * self.slots + victim_slot) {
+                std::mem::swap(&mut fp, cell);
+            }
             index = self.alt_index(index, fp);
             if self.try_place(index, fp) {
                 return Ok(());
             }
         }
         // Preserve the final victim in the stash: no false negatives.
-        self.stash.push((index, fp));
+        self.stash_push(index, fp);
         self.overflows += 1;
         Err(InsertError { key })
     }
@@ -218,9 +310,10 @@ impl CuckooFilter {
         self.bucket(i1).contains(&fp)
             || self.bucket(i2).contains(&fp)
             || self
-                .stash
+                .stashed(i1)
                 .iter()
-                .any(|&(i, f)| f == fp && (i == i1 || i == i2))
+                .chain(self.stashed(i2))
+                .any(|&(f, _)| f == fp)
     }
 
     /// Removes one copy of `key`'s fingerprint, if present.
@@ -228,7 +321,8 @@ impl CuckooFilter {
     /// Returns `true` when a fingerprint was removed. When both candidate
     /// buckets hold a matching fingerprint a random one is chosen, exactly as
     /// the paper describes (§IV-B) — this is the source of FT stale-owner
-    /// entries.
+    /// entries. A fingerprint held only in the stash leaves from its lowest
+    /// matching stash position.
     pub fn remove(&mut self, key: u64) -> bool {
         let fp = self.fingerprint(key);
         let i1 = self.index1(key);
@@ -246,21 +340,25 @@ impl CuckooFilter {
             (true, false) => i1,
             (false, true) => i2,
             (false, false) => {
-                if let Some(pos) = self
-                    .stash
+                let lowest = self
+                    .stashed(i1)
                     .iter()
-                    .position(|&(i, f)| f == fp && (i == i1 || i == i2))
-                {
-                    self.stash.swap_remove(pos);
-                    self.len -= 1;
-                    return true;
-                }
-                return false;
+                    .chain(self.stashed(i2))
+                    .filter(|&&(f, _)| f == fp)
+                    .map(|&(_, pos)| pos)
+                    .min();
+                let Some(pos) = lowest else {
+                    return false;
+                };
+                self.stash_remove(pos);
+                self.len -= 1;
+                return true;
             }
         };
         let b = self.bucket_mut(target);
         if let Some(cell) = b.iter_mut().find(|c| **c == fp) {
             *cell = 0;
+            self.free_cells += 1;
             self.len -= 1;
             true
         } else {
@@ -271,15 +369,35 @@ impl CuckooFilter {
     /// Empties the filter.
     pub fn clear(&mut self) {
         self.cells.fill(0);
+        self.free_cells = self.cells.len();
         self.stash.clear();
+        for list in &mut self.stash_index {
+            list.clear();
+        }
         self.len = 0;
+    }
+
+    /// Whether the derived fields (`free_cells`, `alt_base`, `stash_index`)
+    /// agree with the cells, geometry and stash they are derived from.
+    fn derived_state_consistent(&self) -> bool {
+        let free_ok = self.free_cells == self.cells.iter().filter(|&&c| c == 0).count();
+        let alt_ok = self.alt_base.len() == usize::from(self.fp_mask) + 1;
+        let filed: usize = self.stash_index.iter().map(Vec::len).sum();
+        let index_ok = filed == self.stash.len()
+            && self.stash_index.iter().enumerate().all(|(b, list)| {
+                list.iter()
+                    .all(|&(fp, pos)| self.stash.get(pos as usize) == Some(&(b as u32, fp)))
+            });
+        free_ok && alt_ok && index_ok
     }
 
     /// A 64-bit digest of the filter's full state — geometry, every cell,
     /// the stash, the overflow counter and the eviction RNG position — for
     /// epoch checkpoints. Two filters that answer queries identically from
-    /// here on produce the same digest.
+    /// here on produce the same digest. The lookup shortcuts are functions
+    /// of the state mixed here, so debug builds check them instead.
     pub fn state_digest(&self) -> u64 {
+        debug_assert!(self.derived_state_consistent());
         let mut d = StateDigest::new();
         d.mix(self.bucket_count as u64)
             .mix(self.slots as u64)
@@ -289,7 +407,11 @@ impl CuckooFilter {
             .mix(self.overflows)
             .mix(self.rng.state_digest())
             .mix_all(self.cells.iter().map(|&c| u64::from(c)))
-            .mix_all(self.stash.iter().map(|&(b, fp)| ((b as u64) << 16) | u64::from(fp)));
+            .mix_all(
+                self.stash
+                    .iter()
+                    .map(|&(b, fp)| (u64::from(b) << 16) | u64::from(fp)),
+            );
         d.finish()
     }
 }
@@ -388,6 +510,7 @@ mod tests {
         for &k in &keys {
             assert!(f.contains(k), "stash must preserve {k}");
         }
+        assert!(f.derived_state_consistent());
     }
 
     #[test]
@@ -402,6 +525,7 @@ mod tests {
         for k in 0..10 {
             assert!(!f.contains(k));
         }
+        assert!(f.derived_state_consistent());
     }
 
     #[test]
@@ -412,6 +536,27 @@ mod tests {
             let i1 = f.index1(key);
             let i2 = f.alt_index(i1, fp);
             assert_eq!(f.alt_index(i2, fp), i1);
+        }
+    }
+
+    #[test]
+    fn alt_table_matches_hashed_formula() {
+        for fp_bits in [11, 13, 16] {
+            for buckets in [125usize, 250, 1000] {
+                let f = CuckooFilter::new(buckets, 2, fp_bits);
+                let n = buckets as u64;
+                for fp in 1..=f.fp_mask {
+                    let h = metro_mix(u64::from(fp), SEED_ALT) % n;
+                    for index in [0, 1, buckets / 2, buckets - 1] {
+                        let want = ((h + n - index as u64) % n) as usize;
+                        assert_eq!(
+                            f.alt_index(index, fp),
+                            want,
+                            "fp_bits {fp_bits}, {buckets} buckets, fp {fp}, index {index}"
+                        );
+                    }
+                }
+            }
         }
     }
 

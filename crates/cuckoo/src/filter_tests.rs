@@ -1,0 +1,250 @@
+//! Differential bit-identity tests: [`CuckooFilter`], with its per-bucket
+//! stash index, alternate-bucket table and full-table kick path, against
+//! the plain linear-stash filter it must behave exactly like.
+
+use sim_core::{SimRng, StateDigest};
+
+use crate::filter::{MAX_KICKS, SEED_ALT, SEED_FP, SEED_IDX};
+use crate::{metro_mix, CuckooFilter, InsertError};
+
+/// The reference model: every stash probe scans the whole stash in order,
+/// every alternate bucket is hashed, every kick step probes its bucket.
+struct Linear {
+    cells: Vec<u16>,
+    bucket_count: usize,
+    slots: usize,
+    fp_mask: u16,
+    fp_bits: u32,
+    len: usize,
+    stash: Vec<(usize, u16)>,
+    overflows: u64,
+    rng: SimRng,
+}
+
+impl Linear {
+    fn new(bucket_count: usize, slots: usize, fp_bits: u32) -> Self {
+        Self {
+            cells: vec![0; bucket_count * slots],
+            bucket_count,
+            slots,
+            fp_mask: if fp_bits == 16 {
+                u16::MAX
+            } else {
+                (1u16 << fp_bits) - 1
+            },
+            fp_bits,
+            len: 0,
+            stash: Vec::new(),
+            overflows: 0,
+            rng: SimRng::new(0xC0C0_0F11),
+        }
+    }
+
+    fn fingerprint(&self, key: u64) -> u16 {
+        let fp = (metro_mix(key, SEED_FP) as u16) & self.fp_mask;
+        if fp == 0 {
+            1
+        } else {
+            fp
+        }
+    }
+
+    fn index1(&self, key: u64) -> usize {
+        (metro_mix(key, SEED_IDX) % self.bucket_count as u64) as usize
+    }
+
+    fn alt_index(&self, index: usize, fp: u16) -> usize {
+        let h = (metro_mix(u64::from(fp), SEED_ALT) % self.bucket_count as u64) as usize;
+        (h + self.bucket_count - index) % self.bucket_count
+    }
+
+    fn bucket(&self, index: usize) -> &[u16] {
+        &self.cells[index * self.slots..(index + 1) * self.slots]
+    }
+
+    fn try_place(&mut self, index: usize, fp: u16) -> bool {
+        let slots = self.slots;
+        for cell in &mut self.cells[index * slots..(index + 1) * slots] {
+            if *cell == 0 {
+                *cell = fp;
+                return true;
+            }
+        }
+        false
+    }
+
+    fn insert(&mut self, key: u64) -> Result<(), InsertError> {
+        let fp = self.fingerprint(key);
+        let i1 = self.index1(key);
+        let i2 = self.alt_index(i1, fp);
+        self.len += 1;
+        if self.try_place(i1, fp) || self.try_place(i2, fp) {
+            return Ok(());
+        }
+        let mut index = if self.rng.chance(0.5) { i1 } else { i2 };
+        let mut fp = fp;
+        for _ in 0..MAX_KICKS {
+            let victim_slot = self.rng.gen_index(self.slots);
+            std::mem::swap(&mut fp, &mut self.cells[index * self.slots + victim_slot]);
+            index = self.alt_index(index, fp);
+            if self.try_place(index, fp) {
+                return Ok(());
+            }
+        }
+        self.stash.push((index, fp));
+        self.overflows += 1;
+        Err(InsertError { key })
+    }
+
+    fn contains(&self, key: u64) -> bool {
+        let fp = self.fingerprint(key);
+        let i1 = self.index1(key);
+        let i2 = self.alt_index(i1, fp);
+        self.bucket(i1).contains(&fp)
+            || self.bucket(i2).contains(&fp)
+            || self
+                .stash
+                .iter()
+                .any(|&(i, f)| f == fp && (i == i1 || i == i2))
+    }
+
+    fn remove(&mut self, key: u64) -> bool {
+        let fp = self.fingerprint(key);
+        let i1 = self.index1(key);
+        let i2 = self.alt_index(i1, fp);
+        let in1 = self.bucket(i1).contains(&fp);
+        let in2 = i2 != i1 && self.bucket(i2).contains(&fp);
+        let target = match (in1, in2) {
+            (true, true) => {
+                if self.rng.chance(0.5) {
+                    i1
+                } else {
+                    i2
+                }
+            }
+            (true, false) => i1,
+            (false, true) => i2,
+            (false, false) => {
+                let Some(pos) = self
+                    .stash
+                    .iter()
+                    .position(|&(i, f)| f == fp && (i == i1 || i == i2))
+                else {
+                    return false;
+                };
+                self.stash.swap_remove(pos);
+                self.len -= 1;
+                return true;
+            }
+        };
+        let slots = self.slots;
+        let bucket = &mut self.cells[target * slots..(target + 1) * slots];
+        let Some(cell) = bucket.iter_mut().find(|c| **c == fp) else {
+            return false;
+        };
+        *cell = 0;
+        self.len -= 1;
+        true
+    }
+
+    fn clear(&mut self) {
+        self.cells.fill(0);
+        self.stash.clear();
+        self.len = 0;
+    }
+
+    fn state_digest(&self) -> u64 {
+        let mut d = StateDigest::new();
+        d.mix(self.bucket_count as u64)
+            .mix(self.slots as u64)
+            .mix(u64::from(self.fp_bits))
+            .mix(u64::from(self.fp_mask))
+            .mix(self.len as u64)
+            .mix(self.overflows)
+            .mix(self.rng.state_digest())
+            .mix_all(self.cells.iter().map(|&c| u64::from(c)))
+            .mix_all(self.stash.iter().map(|&(b, fp)| ((b as u64) << 16) | u64::from(fp)));
+        d.finish()
+    }
+
+    /// Whether one fingerprint sits in the stash under both of its buckets,
+    /// the case where `remove` must pick the lowest position across two
+    /// bucket lists.
+    fn stash_holds_both_buckets(&self) -> bool {
+        self.stash.iter().any(|&(b, fp)| {
+            let alt = self.alt_index(b, fp);
+            alt != b && self.stash.iter().any(|&(o, f)| f == fp && o == alt)
+        })
+    }
+}
+
+/// Operation mix, in percent: the rest of the draws are `contains`.
+const CLEAR: u64 = 1;
+const INSERT: u64 = 40;
+const REMOVE: u64 = 35;
+
+/// Drives both filters with one seeded op sequence over a key universe
+/// small enough that duplicates and fingerprint collisions are common,
+/// comparing every answer and all observable state after every op.
+/// Returns whether the stash ever held a fingerprint under both buckets.
+fn drive(buckets: usize, slots: usize, fp_bits: u32, seed: u64, ops: usize) -> bool {
+    let mut fast = CuckooFilter::new(buckets, slots, fp_bits);
+    let mut slow = Linear::new(buckets, slots, fp_bits);
+    let mut rng = SimRng::new(seed);
+    let universe = (buckets * slots * 3) as u64;
+    let mut both_buckets = false;
+    for step in 0..ops {
+        let key = rng.gen_range(universe);
+        let roll = rng.gen_range(100);
+        let ctx = format!("{buckets}x{slots}, {fp_bits}-bit, seed {seed}, step {step}, key {key}");
+        if roll < CLEAR {
+            fast.clear();
+            slow.clear();
+        } else if roll < CLEAR + INSERT {
+            assert_eq!(fast.insert(key), slow.insert(key), "insert: {ctx}");
+        } else if roll < CLEAR + INSERT + REMOVE {
+            assert_eq!(fast.remove(key), slow.remove(key), "remove: {ctx}");
+        } else {
+            assert_eq!(fast.contains(key), slow.contains(key), "contains: {ctx}");
+        }
+        assert_eq!(fast.len(), slow.len, "len: {ctx}");
+        assert_eq!(fast.stash_len(), slow.stash.len(), "stash_len: {ctx}");
+        assert_eq!(fast.overflow_count(), slow.overflows, "overflow_count: {ctx}");
+        assert_eq!(fast.state_digest(), slow.state_digest(), "state_digest: {ctx}");
+        both_buckets = both_buckets || slow.stash_holds_both_buckets();
+    }
+    both_buckets
+}
+
+#[test]
+fn tiny_overflowing_geometries_match_linear_stash() {
+    for (buckets, slots) in [(4, 2), (8, 4)] {
+        for fp_bits in [4, 6, 8] {
+            let mut both_buckets = false;
+            for seed in [1, 2, 3] {
+                both_buckets |= drive(buckets, slots, fp_bits, seed, 3_000);
+            }
+            assert!(
+                both_buckets,
+                "{buckets}x{slots}, {fp_bits}-bit: no fingerprint reached the stash under both buckets"
+            );
+        }
+    }
+}
+
+#[test]
+fn odd_geometries_match_linear_stash() {
+    // One bucket (both candidates coincide), a prime bucket count, and
+    // 16-bit fingerprints (the full-width mask).
+    for (buckets, slots, fp_bits) in [(1, 2, 4), (7, 3, 5), (5, 2, 16)] {
+        drive(buckets, slots, fp_bits, 7, 2_000);
+    }
+}
+
+#[test]
+fn paper_geometries_match_linear_stash() {
+    // The PRT and FT shapes, driven past capacity into a large stash.
+    for (buckets, slots, fp_bits) in [(125, 4, 13), (1000, 2, 11)] {
+        drive(buckets, slots, fp_bits, 11, 4_000);
+    }
+}

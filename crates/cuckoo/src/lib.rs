@@ -23,6 +23,8 @@
 //! ```
 
 pub mod filter;
+#[cfg(test)]
+mod filter_tests;
 pub mod hash;
 
 pub use filter::{CuckooFilter, InsertError};

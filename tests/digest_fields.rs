@@ -42,6 +42,27 @@ fn ft_digest_is_sensitive_to_gpu_count() {
 }
 
 #[test]
+fn ft_digest_is_sensitive_to_table_contents() {
+    // Equal length and counters, different owners: only the filter's
+    // contents tell the two tables apart.
+    let cfg = TransFwConfig::default();
+    let mut a = Ft::new(&cfg, 4);
+    let mut b = Ft::new(&cfg, 4);
+    a.page_migrated(0x40, None, 1);
+    b.page_migrated(0x40, None, 2);
+    assert_eq!(a.len(), b.len());
+    assert_eq!(
+        (a.lookup_count(), a.hit_count()),
+        (b.lookup_count(), b.hit_count())
+    );
+    assert_ne!(
+        a.state_digest(),
+        b.state_digest(),
+        "the FT's contents must flow into its digest"
+    );
+}
+
+#[test]
 fn prt_digest_is_sensitive_to_mask_bits() {
     let a = Prt::new(&masked(2));
     let b = Prt::new(&masked(3));
