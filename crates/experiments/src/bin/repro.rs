@@ -7,8 +7,12 @@
 
 use std::fmt::Write as _;
 
+use experiments::cli::{exit_usage, flag_value};
 use experiments::{Report, RunOpts};
 
+const USAGE: &str = "usage: repro [--scale S] [--seeds N] [--out FILE] [--only figNN]";
+
+#[derive(Debug)]
 struct Args {
     scale: f64,
     seeds: u64,
@@ -16,32 +20,34 @@ struct Args {
     only: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: 1.0,
         seeds: 2,
         out: None,
         only: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
         match flag.as_str() {
-            "--scale" => args.scale = value("--scale").parse().expect("scale"),
-            "--seeds" => args.seeds = value("--seeds").parse().expect("seeds"),
-            "--out" => args.out = Some(value("--out")),
-            "--only" => args.only = Some(value("--only")),
-            other => panic!("unknown flag {other}"),
+            "--scale" => args.scale = flag_value(&mut it, "--scale")?,
+            "--seeds" => args.seeds = flag_value(&mut it, "--seeds")?,
+            "--out" => args.out = Some(flag_value(&mut it, "--out")?),
+            "--only" => args.only = Some(flag_value(&mut it, "--only")?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    if !(args.scale.is_finite() && args.scale > 0.0) {
+        return Err(format!(
+            "--scale must be a positive number, got {}",
+            args.scale
+        ));
+    }
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let opts = RunOpts {
         scale: args.scale,
         seeds: (1..=args.seeds.max(1)).collect(),
@@ -108,5 +114,31 @@ fn main() {
             eprintln!("wrote {path}");
         }
         None => print!("{doc}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &str) -> Result<Args, String> {
+        parse_args(argv.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parses_flags_and_rejects_malformed_input() {
+        let a = parse("--scale 0.02 --seeds 1 --out r.md --only fig03").unwrap();
+        assert_eq!((a.scale, a.seeds), (0.02, 1));
+        assert_eq!(
+            (a.out.as_deref(), a.only.as_deref()),
+            (Some("r.md"), Some("fig03"))
+        );
+        assert_eq!(parse("--fast").unwrap_err(), "unknown flag --fast");
+        assert_eq!(
+            parse("--scale 0,05").unwrap_err(),
+            "--scale: invalid value \"0,05\""
+        );
+        assert_eq!(parse("--seeds").unwrap_err(), "--seeds requires a value");
+        assert!(parse("--scale -1").unwrap_err().contains("positive"));
     }
 }

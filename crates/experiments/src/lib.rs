@@ -4,8 +4,9 @@
 //! Each `figNN` module reproduces one figure: it builds the configurations,
 //! runs the simulator over the Table III applications (in parallel, averaged
 //! over seeds) and returns a [`Report`] whose rows mirror the figure's
-//! series. The `cargo bench` targets in the `transfw-bench` crate print
-//! these reports; EXPERIMENTS.md records paper-vs-measured values.
+//! series. The `repro` bin prints these reports (`repro --only figNN` for
+//! one figure); EXPERIMENTS.md records paper-vs-measured values. The `soak`
+//! bin runs the committed `scenarios/*.scn` robustness matrices.
 //!
 //! # Examples
 //!
@@ -17,6 +18,7 @@
 //! println!("{report}");
 //! ```
 
+pub mod cli;
 pub mod fig02;
 pub mod fig03;
 pub mod fig04;
@@ -45,9 +47,10 @@ pub mod fig29;
 pub mod fig30;
 pub mod report;
 pub mod runner;
+pub mod soak;
 pub mod spec;
 pub mod table3;
 
 pub use report::Report;
-pub use runner::{average_cycles, parallel_map, run_json, run_one, runs_json, RunOpts};
-pub use spec::{load_scenario, scenario_specs, soak_fault_plans, soak_tables, RunSpec};
+pub use runner::{average_cycles, parallel_map, run_json, run_one, RunOpts};
+pub use spec::{scenario_specs, RunSpec};

@@ -72,7 +72,7 @@ pub fn average_cycles(
 
 /// Serializes one run's complete metrics as a JSON object (hand-rolled:
 /// the workspace deliberately has no serialization dependency). This is
-/// what the bench harness embeds in `BENCH_*.json`: the timing numbers,
+/// what the `soak` runner embeds in `BENCH_*.json`: the timing numbers,
 /// translation counters, Trans-FW datapath and placement-policy counters,
 /// and the robustness trajectory (watchdog activity, component-failure
 /// recovery counters, overload control and oversubscription/eviction
@@ -385,16 +385,9 @@ pub fn run_json(m: &RunMetrics, seed: u64) -> String {
     )
 }
 
-/// Serializes a batch of `(seed, metrics)` runs as a JSON array, one
-/// [`run_json`] object per element.
-pub fn runs_json(runs: &[(u64, RunMetrics)]) -> String {
-    let body: Vec<String> = runs.iter().map(|(seed, m)| run_json(m, *seed)).collect();
-    format!("[{}]", body.join(","))
-}
-
-/// Minimal JSON string escaping for app names (quotes, backslashes and
-/// control characters; names are ASCII in practice).
-fn json_escape(s: &str) -> String {
+/// Minimal JSON string escaping for app names and cell labels (quotes,
+/// backslashes and control characters; names are ASCII in practice).
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -639,15 +632,6 @@ mod tests {
             json.matches(']').count(),
             "unbalanced brackets"
         );
-    }
-
-    #[test]
-    fn runs_json_is_an_array() {
-        let app = workloads::app("FIR").unwrap().scaled(0.05);
-        let m = run_one(SystemConfig::baseline(), &app, 1);
-        let arr = runs_json(&[(1, m.clone()), (2, m)]);
-        assert!(arr.starts_with('[') && arr.ends_with(']'));
-        assert_eq!(arr.matches("\"app\"").count(), 2);
     }
 
     #[test]

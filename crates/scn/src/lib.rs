@@ -123,6 +123,33 @@ pub fn find_scenarios_dir() -> Option<PathBuf> {
     from_cwd.or_else(|| scenarios_dir_above(Path::new(env!("CARGO_MANIFEST_DIR"))))
 }
 
+/// The committed scenario files: `(name, source)` for every
+/// `<name>.scn` in [`find_scenarios_dir`], sorted by name.
+///
+/// # Errors
+///
+/// Returns a message when the directory is missing or a file is unreadable.
+pub fn committed_sources() -> Result<Vec<(String, String)>, String> {
+    let dir = find_scenarios_dir()
+        .ok_or_else(|| "no scenarios/ directory found above the working directory".to_string())?;
+    let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut out = Vec::new();
+    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+        if path.extension() != Some("scn".as_ref()) {
+            continue;
+        }
+        let name = path
+            .file_stem()
+            .unwrap_or_default()
+            .to_string_lossy()
+            .into_owned();
+        let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        out.push((name, src));
+    }
+    out.sort();
+    Ok(out)
+}
+
 fn scenarios_dir_above(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {

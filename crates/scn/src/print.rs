@@ -7,9 +7,9 @@
 //! enforce), and the digest is computed over the canonical form — so
 //! comments, whitespace, key order and sugar (`seeds = 2` vs
 //! `seeds = [1, 2]`) never change a scenario's identity, while any
-//! semantic change does. The `scnd` result cache keys on
-//! `(digest, seed)`; its soundness argument lives in DESIGN.md and rests
-//! on exactly this property plus simulator determinism.
+//! semantic change does. A recorded digest therefore names one run
+//! matrix; the soundness chain in DESIGN.md rests on exactly this
+//! property plus simulator determinism.
 
 use std::fmt::Write as _;
 
@@ -394,10 +394,10 @@ mod tests {
 
     #[test]
     fn digest_is_stable_across_builds() {
-        // Frozen vectors: if these change, every scnd cache entry and
-        // recorded digest is invalidated — bump them deliberately, never
-        // accidentally. Empty input hashes to the FNV offset basis; one
-        // byte applies exactly one xor-multiply round.
+        // Frozen vectors: if these change, every recorded digest is
+        // invalidated — bump them deliberately, never accidentally. Empty
+        // input hashes to the FNV offset basis; one byte applies exactly
+        // one xor-multiply round.
         assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(
             fnv1a64("a"),

@@ -6,8 +6,8 @@
 //! those structs enforce as a positioned error*. That mirror is the
 //! front end's core contract: a scenario that compiles will not panic
 //! inside `SystemConfig::validate` or `WorkloadSpec::build` when it runs —
-//! which is what lets the `scnd` server accept scenarios from untrusted
-//! clients and the fuzz tests demand error-or-success, never a panic.
+//! which is what lets the fuzz tests demand error-or-success, never a
+//! panic.
 
 use std::collections::BTreeMap;
 
@@ -88,8 +88,8 @@ impl Scenario {
     }
 }
 
-/// Short label for a fault plan within a multi-plan sweep, matching the
-/// names the soak bins used for the common shapes.
+/// Short label for a fault plan within a multi-plan sweep: `clean`,
+/// `loss` and `chaos` for the common shapes, `faults<index>` otherwise.
 fn fault_label(plan: &FaultPlan, index: usize) -> String {
     if !plan.is_active() {
         return "clean".into();

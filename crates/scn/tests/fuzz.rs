@@ -66,19 +66,12 @@ fn random_token_streams_never_panic() {
 /// canonical form must round-trip with an identical digest.
 #[test]
 fn mutated_committed_scenarios_never_panic() {
-    let dir = scn::find_scenarios_dir().expect("scenarios/ directory exists");
-    let mut sources = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("readable scenarios dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|x| x == "scn") {
-            sources.push(std::fs::read_to_string(&path).expect("readable scenario"));
-        }
-    }
+    let sources = scn::committed_sources().expect("readable scenarios/ directory");
     assert!(sources.len() >= 4, "expected the committed scenarios");
 
     const INSERTS: &[char] = &['{', '}', '=', '"', ',', '(', ')', '[', ']', '0', '9', 'x', '.'];
     let mut rng = SimRng::new(0x9e37_79b9);
-    for src in &sources {
+    for (_, src) in &sources {
         let chars: Vec<char> = src.chars().collect();
         for _ in 0..400 {
             let at = rng.gen_index(chars.len());

@@ -5,18 +5,7 @@
 use sim_core::SimRng;
 
 fn committed_sources() -> Vec<(String, String)> {
-    let dir = scn::find_scenarios_dir().expect("scenarios/ directory exists");
-    let mut out = Vec::new();
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("readable scenarios dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "scn"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let src = std::fs::read_to_string(&path).expect("readable scenario");
-        out.push((path.display().to_string(), src));
-    }
+    let out = scn::committed_sources().expect("readable scenarios/ directory");
     assert!(out.len() >= 4, "expected the committed scenarios");
     out
 }
@@ -26,18 +15,18 @@ fn committed_sources() -> Vec<(String, String)> {
 /// point of printing.
 #[test]
 fn canonical_print_is_a_fixed_point_over_committed_scenarios() {
-    for (path, src) in committed_sources() {
-        let scenarios = scn::compile(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (name, src) in committed_sources() {
+        let scenarios = scn::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for sc in scenarios {
             let canon = sc.canonical();
             let reparsed =
-                scn::compile_one(&canon).unwrap_or_else(|e| panic!("{path}/{}: {e}", sc.name));
-            assert_eq!(sc, reparsed, "{path}/{}: IR round-trip", sc.name);
-            assert_eq!(sc.digest(), reparsed.digest(), "{path}/{}", sc.name);
+                scn::compile_one(&canon).unwrap_or_else(|e| panic!("{name}/{}: {e}", sc.name));
+            assert_eq!(sc, reparsed, "{name}/{}: IR round-trip", sc.name);
+            assert_eq!(sc.digest(), reparsed.digest(), "{name}/{}", sc.name);
             assert_eq!(
                 canon,
                 reparsed.canonical(),
-                "{path}/{}: canonical form must be a printing fixed point",
+                "{name}/{}: canonical form must be a printing fixed point",
                 sc.name
             );
         }
@@ -51,9 +40,9 @@ fn canonical_print_is_a_fixed_point_over_committed_scenarios() {
 #[test]
 fn formatting_noise_never_changes_the_digest() {
     let mut rng = SimRng::new(0x00d1_6e57);
-    for (path, src) in committed_sources() {
+    for (name, src) in committed_sources() {
         let base: Vec<u64> = scn::compile(&src)
-            .unwrap_or_else(|e| panic!("{path}: {e}"))
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
             .iter()
             .map(scn::Scenario::digest)
             .collect();
@@ -77,11 +66,11 @@ fn formatting_noise_never_changes_the_digest() {
                 }
             }
             let digests: Vec<u64> = scn::compile(&noisy)
-                .unwrap_or_else(|e| panic!("{path} with formatting noise: {e}"))
+                .unwrap_or_else(|e| panic!("{name} with formatting noise: {e}"))
                 .iter()
                 .map(scn::Scenario::digest)
                 .collect();
-            assert_eq!(base, digests, "{path}: formatting noise changed a digest");
+            assert_eq!(base, digests, "{name}: formatting noise changed a digest");
         }
     }
 }
@@ -92,9 +81,9 @@ fn formatting_noise_never_changes_the_digest() {
 #[test]
 fn committed_scenario_digests_are_distinct() {
     let mut digests = Vec::new();
-    for (path, src) in committed_sources() {
-        for sc in scn::compile(&src).unwrap_or_else(|e| panic!("{path}: {e}")) {
-            digests.push((sc.digest(), format!("{path}/{}", sc.name)));
+    for (name, src) in committed_sources() {
+        for sc in scn::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}")) {
+            digests.push((sc.digest(), format!("{name}/{}", sc.name)));
         }
     }
     for i in 0..digests.len() {

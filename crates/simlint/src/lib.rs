@@ -257,8 +257,6 @@ pub struct Config {
     /// Crate dirs whose non-test code models simulator state: raw hash
     /// collections are forbidden here.
     pub sim_state_crates: Vec<String>,
-    /// Crate dirs exempt from every lint (the bench harness).
-    pub exempt_crates: Vec<String>,
     /// Hot-path files under the panic-freedom lint.
     pub hot_path_files: Vec<String>,
     /// Protocol enums whose matches must be exhaustive.
@@ -308,12 +306,11 @@ impl Config {
         let c = |s: &str| format!("crates/{s}");
         Self {
             sim_state_crates: [
-                "core", "cuckoo", "tlb", "ptw", "uvm", "mgpu", "sim-core", "scn", "scnd",
+                "core", "cuckoo", "tlb", "ptw", "uvm", "mgpu", "sim-core", "scn",
             ]
             .iter()
             .map(|s| c(s))
             .collect(),
-            exempt_crates: vec![c("bench")],
             hot_path_files: ["system", "recovery", "placement", "host"]
                 .iter()
                 .map(|s| format!("crates/mgpu/src/{s}.rs"))
@@ -343,7 +340,7 @@ impl Config {
             .map(|s| c(s))
             .collect(),
             rng_home: c("sim-core/src/rng.rs"),
-            // scn/scnd deliberately excluded: their generic `run`/`parse`
+            // scn deliberately excluded: its generic `run`/`parse`
             // helper names would pollute name-based call resolution.
             reach_crates: [
                 "core",
@@ -453,7 +450,7 @@ pub struct Report {
 /// Returns a message when the workspace cannot be read (missing root, or
 /// an unreadable source file).
 pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
-    let files = workspace_rs_files(root, cfg)?;
+    let files = workspace_rs_files(root)?;
     let mut sources = Vec::with_capacity(files.len());
     for rel in &files {
         let abs = root.join(rel);
@@ -539,10 +536,10 @@ pub fn run_sources(sources: &[(FileCtx, String)], cfg: &Config) -> Report {
 }
 
 /// Collects the workspace-relative paths of every `.rs` file the linter
-/// scans: `crates/*/{src,tests,examples,benches}` plus the repository-root
+/// scans: `crates/*/{src,tests,examples}` plus the repository-root
 /// `tests/` and `examples/` (mounted into the facade crate), skipping
-/// exempt crates and lint-test fixture dirs.
-pub fn workspace_rs_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
+/// lint-test fixture dirs.
+pub fn workspace_rs_files(root: &Path) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
     let entries = std::fs::read_dir(&crates_dir)
@@ -554,11 +551,7 @@ pub fn workspace_rs_files(root: &Path, cfg: &Config) -> Result<Vec<String>, Stri
         .collect();
     crate_dirs.sort();
     for dir in crate_dirs {
-        let rel_crate = rel_to(root, &dir);
-        if cfg.exempt_crates.contains(&rel_crate) {
-            continue;
-        }
-        for sub in ["src", "tests", "examples", "benches"] {
+        for sub in ["src", "tests", "examples"] {
             collect_rs(root, &dir.join(sub), &mut out);
         }
     }

@@ -31,9 +31,6 @@ pub fn lint_file(ctx: &FileCtx, src: &str, cfg: &Config) -> Vec<Violation> {
 /// comment waives that lint's violations on the same line or the line
 /// directly below (for directives placed on their own comment line).
 pub fn lint_file_with_allows(ctx: &FileCtx, src: &str, cfg: &Config) -> Vec<Outcome> {
-    if cfg.exempt_crates.contains(&ctx.crate_dir) {
-        return Vec::new();
-    }
     let lexed = lexer::lex(src);
     let regions = lexer::test_regions(&lexed.tokens);
     let mut violations = Vec::new();
@@ -653,12 +650,5 @@ fn send(gpu: u32, vpn: u64) {\n\
         let v = lint_metrics(metrics, ser_bad, &cfg());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].key, "missing-field(total_cycles)");
-    }
-
-    #[test]
-    fn bench_crate_is_exempt() {
-        let src = "use std::time::Instant;\nfn f() { Instant::now(); }\n";
-        let outs = lint_file_with_allows(&FileCtx::new("crates/bench/src/lib.rs"), src, &cfg());
-        assert!(outs.is_empty());
     }
 }

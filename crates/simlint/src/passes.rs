@@ -10,8 +10,8 @@
 //!   struct's digest path: the digest methods themselves plus every
 //!   same-crate function they transitively call. A field that never
 //!   appears cannot be mixed into the epoch digest, which is exactly the
-//!   silent-nondeterminism hole `run_with_restore` and the scnd result
-//!   cache cannot tolerate. Derived/cache-only state is waived inline at
+//!   silent-nondeterminism hole `run_with_restore` and digest-keyed
+//!   results cannot tolerate. Derived/cache-only state is waived inline at
 //!   the field declaration.
 //! * **`rng-stream-discipline`** — every `SimRng::new(expr)` stream in
 //!   sim code must be salted (`seed ^ SUBSYSTEM_SALT`) so no two

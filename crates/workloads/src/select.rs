@@ -1,9 +1,9 @@
 //! Declarative workload selection: a plain-data description of *which*
 //! workload to run, with its parameters.
 //!
-//! Every experiment surface in the repo — the hard-coded soak bins, the
-//! `.scn` scenario compiler and the `scnd` experiment server — describes a
-//! workload the same way: a [`WorkloadSpec`] value. The spec is pure data
+//! Every experiment surface in the repo — the `.scn` scenario compiler,
+//! the `soak` runner and the host-time benchmark — describes a workload
+//! the same way: a [`WorkloadSpec`] value. The spec is pure data
 //! (`Clone + PartialEq`, no trait objects), so scenario IRs can compare and
 //! digest it; [`WorkloadSpec::build`] is the single place a spec becomes a
 //! runnable [`Workload`].
