@@ -36,7 +36,7 @@ pub fn metro_mix(key: u64, seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn deterministic() {
@@ -51,7 +51,7 @@ mod tests {
     #[test]
     fn no_collisions_on_small_dense_keys() {
         // Page numbers are dense small integers; the mixer must spread them.
-        let hashes: HashSet<u64> = (0..100_000u64).map(|k| metro_mix(k, 0)).collect();
+        let hashes: BTreeSet<u64> = (0..100_000u64).map(|k| metro_mix(k, 0)).collect();
         assert_eq!(hashes.len(), 100_000);
     }
 

@@ -53,7 +53,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut all_verified = true;
     for (label, cfg) in configs() {
-        // simlint::allow(det-wallclock): harness timing, reported not simulated
+        #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
         let start = std::time::Instant::now();
         let outcome = check(&ProtocolState::new(&cfg), &check_cfg);
         let ms = start.elapsed().as_millis();

@@ -100,7 +100,7 @@ fn main() {
             }
         }
         eprintln!("running {name}…");
-        // simlint::allow(det-wallclock): harness progress timing, never fed into the sim
+        #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
         let t0 = std::time::Instant::now();
         for report in runner(&opts) {
             let _ = writeln!(doc, "```\n{report}```\n");

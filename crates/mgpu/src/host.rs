@@ -1,6 +1,8 @@
 //! Host-side event handlers: the hardware host MMU (baseline far-fault
 //! path), fault resolution/migration, and the software UVM-driver mode.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use ptw::Location;
 use sim_core::{Cycle, SimError};
 use uvm::TxnKind;

@@ -13,6 +13,8 @@
 //! a `FirstTouch` run under any fault plan replays identically to the
 //! pre-engine simulator.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use ptw::{GpuId, Location};
 use sim_core::{Cycle, MigrationEvent, MigrationKind};
 use uvm::{OwnershipTransaction, TxnKind};

@@ -26,6 +26,8 @@
 //! and verifying that every epoch digest of the crashed run reproduces
 //! bit-identically ([`run_with_restore`]).
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use std::sync::{Arc, Mutex};
 
 use sim_core::{CheckpointLog, ComponentEvent, Cycle, EpochCheckpoint, SimError, StateDigest};
@@ -84,6 +86,10 @@ impl System {
     /// targeting a dead GPU are deferred to its rejoin, redirected through
     /// the host, or refused — never silently dropped with a request
     /// attached. Returns `None` when the event was consumed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "recovery replays ids captured from the live request arena during the same epoch; the checkpoint digest would already have diverged if an id were stale"
+    )]
     pub(crate) fn intercept_for_recovery(&mut self, ev: Event) -> Option<Event> {
         if self.offline_count == 0 {
             return Some(ev);
@@ -185,6 +191,10 @@ impl System {
 
     /// GPU `g` drops off the fabric until `until`: drain, invalidate,
     /// migrate ownership, flush (the tentpole recovery sequence).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "recovery replays ids captured from the live request arena during the same epoch; the checkpoint digest would already have diverged if an id were stale"
+    )]
     pub(crate) fn gpu_offline(&mut self, g: u16, until: Cycle) {
         self.metrics.recovery.gpu_offline_events = self.metrics.recovery.gpu_offline_events.saturating_add(1);
         let gi = g as usize;
@@ -263,6 +273,10 @@ impl System {
     /// GPU `g` rejoins at the end of the window it went down for: rebuild
     /// the PRT from the directory and restart dispatch. Stale rejoins (the
     /// window was extended by a second offline event) are ignored.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "recovery replays ids captured from the live request arena during the same epoch; the checkpoint digest would already have diverged if an id were stale"
+    )]
     pub(crate) fn gpu_rejoin(&mut self, g: u16, until: Cycle) {
         let gi = g as usize;
         if self.offline_until[gi] != Some(until) {

@@ -9,10 +9,11 @@
 //!
 //! [`DetMap`] and [`DetSet`] are thin newtypes over `BTreeMap`/`BTreeSet`:
 //! iteration order is the key's total order, always, on every run. The
-//! `simlint` static-analysis pass (see `crates/simlint` and DESIGN.md,
-//! "Static analysis & determinism contract") forbids raw `HashMap`/
-//! `HashSet` in sim-state crates; these wrappers are the approved
-//! replacement.
+//! root `clippy.toml` lists raw `HashMap`/`HashSet` under
+//! `disallowed-types` in every workspace target (see DESIGN.md, "Static
+//! analysis & determinism contract"); these wrappers are the approved
+//! replacement in simulator state, and plain `BTreeMap`/`BTreeSet` in
+//! tests.
 //!
 //! The API mirrors the `HashMap`/`HashSet` subset the simulator uses, so a
 //! migration is a type swap plus (where iteration feeds a decision) an

@@ -8,8 +8,8 @@
 //!
 //! Two extras ride along with tokenisation:
 //!
-//! * `simlint::allow(<lint>)` directives are harvested from comments (the
-//!   inline waiver mechanism — see DESIGN.md);
+//! * `simlint::allow(<lint>)` directives are harvested from non-doc
+//!   comments (the inline waiver mechanism — see DESIGN.md);
 //! * every token carries its 1-based source line, so violations point at
 //!   real locations and `#[cfg(test)]` regions can be expressed as line
 //!   ranges.
@@ -70,7 +70,7 @@ impl Tok {
 pub struct AllowDirective {
     /// 1-based line the directive appears on.
     pub line: usize,
-    /// The waived lint's name (e.g. `det-wallclock`).
+    /// The waived lint's name (e.g. `digest-complete`).
     pub lint: String,
 }
 
@@ -289,10 +289,19 @@ fn skip_char_or_lifetime(chars: &[char], mut i: usize, line: &mut usize) -> usiz
 ///
 /// `start_line` is the comment's first line; a directive inside a
 /// multi-line block comment is attributed to the line it actually appears
-/// on, so the same-line-or-next-line waiver rule keeps working.
+/// on, so the same-line-or-next-line waiver rule keeps working. Doc
+/// comments (`///`, `//!`, `/**`, `/*!`) are skipped: they document the
+/// syntax rather than waive anything.
 fn harvest_allows(comment: &[char], start_line: usize, out: &mut Vec<AllowDirective>) {
     const NEEDLE: &str = "simlint::allow(";
     let text: String = comment.iter().collect();
+    let is_doc = (text.starts_with("///") && !text.starts_with("////"))
+        || text.starts_with("//!")
+        || (text.starts_with("/**") && !text.starts_with("/***") && text != "/**/")
+        || text.starts_with("/*!");
+    if is_doc {
+        return;
+    }
     let mut from = 0;
     while let Some(pos) = text[from..].find(NEEDLE) {
         let abs = from + pos;
@@ -461,10 +470,10 @@ mod tests {
 
     #[test]
     fn harvest_allow_directive() {
-        let src = "let t = now(); // simlint::allow(det-wallclock) harness timing\n";
+        let src = "let t = now(); // simlint::allow(digest-complete) derived field\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
-        assert_eq!(lexed.allows[0].lint, "det-wallclock");
+        assert_eq!(lexed.allows[0].lint, "digest-complete");
         assert_eq!(lexed.allows[0].line, 1);
     }
 
@@ -540,17 +549,31 @@ fn also_live() {}\n";
 
     #[test]
     fn allow_in_multiline_block_comment_uses_its_own_line() {
-        let src = "/* intro\n   simlint::allow(panic-freedom) here\n*/\nx.unwrap();\n";
+        let src = "/* intro\n   simlint::allow(panic-reach) here\n*/\nx.unwrap();\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 2, "directive sits on comment line 2");
     }
 
     #[test]
+    fn doc_comments_are_not_directives() {
+        let src = "\
+/// simlint::allow(panic-reach)\n\
+//! simlint::allow(panic-reach)\n\
+/** simlint::allow(panic-reach) */\n\
+/*! simlint::allow(panic-reach) */\n\
+//// simlint::allow(digest-complete)\n";
+        let lexed = lex(src);
+        let names: Vec<(usize, &str)> =
+            lexed.allows.iter().map(|a| (a.line, a.lint.as_str())).collect();
+        assert_eq!(names, [(5, "digest-complete")]);
+    }
+
+    #[test]
     fn two_allows_in_one_comment_both_harvested() {
-        let src = "// simlint::allow(det-wallclock) and simlint::allow(panic-freedom)\n";
+        let src = "// simlint::allow(digest-complete) and simlint::allow(panic-reach)\n";
         let lexed = lex(src);
         let names: Vec<&str> = lexed.allows.iter().map(|a| a.lint.as_str()).collect();
-        assert_eq!(names, ["det-wallclock", "panic-freedom"]);
+        assert_eq!(names, ["digest-complete", "panic-reach"]);
     }
 }

@@ -3,18 +3,12 @@
 //! The simulator's headline guarantees (golden bit-identity runs,
 //! checkpoint/restore replay, fault-plan-invariant placement) all rest on
 //! the code being deterministic and the protocol being handled
-//! exhaustively. This crate makes those invariants *statically checkable*:
-//! a token-level pass over every workspace crate enforces
+//! exhaustively. The token-level rules live in clippy: the root
+//! `clippy.toml` bans `HashMap`/`HashSet`/`Instant`/`SystemTime` in every
+//! target, and each file in [`Config::hot_path_files`] switches on
+//! `clippy::{unwrap_used, expect_used, indexing_slicing}`. This crate
+//! checks what rustc and clippy cannot express:
 //!
-//! * **`det-collections`** — no `std::collections::HashMap`/`HashSet` in
-//!   sim-state crates; use `sim_core::det::{DetMap, DetSet}` (key-ordered,
-//!   identical iteration on every run) instead.
-//! * **`det-wallclock`** — no `Instant`/`SystemTime`/`thread_rng`/
-//!   `rand::random` anywhere outside the bench harness: simulation time is
-//!   [`Cycle`]s and randomness is the seeded `SimRng`, full stop.
-//! * **`panic-freedom`** — no `.unwrap()`/`.expect()`/direct indexing in
-//!   the event-loop hot paths (`mgpu::{system, recovery, placement,
-//!   host}`) outside `#[cfg(test)]`.
 //! * **`protocol-exhaustive`** — no wildcard `_ =>` arms in matches over
 //!   the protocol enums (`Event`, `MessageFate`, `ComponentEvent`,
 //!   `PolicyKind`), so a new variant is a compile error at every handler.
@@ -34,6 +28,8 @@
 //!   struct must flow into its crate's `StateDigest` path (the digest
 //!   methods plus everything they transitively call); derived/cache-only
 //!   fields carry inline waivers.
+//! * **`epoch-digest-coverage`** — the same audit, transitively, for the
+//!   plain structs nested under the epoch `StateDigest` root.
 //! * **`rng-stream-discipline`** — every `SimRng` stream is salted per
 //!   subsystem, literal seeds are unique, and raw streams never cross a
 //!   public boundary outside `sim-core`.
@@ -43,14 +39,11 @@
 //!   protected mgpu hot paths can transitively reach, cross-crate
 //!   included.
 //!
-//! Violations are diffed against a checked-in ratchet file
-//! (`simlint.baseline.toml`, entries carry written justifications; new
-//! violations fail) and can be waived inline with a
+//! Every unwaived finding fails. A finding can be waived inline with a
 //! `// simlint::allow(<lint>): why` comment on or directly above the
-//! offending line. See DESIGN.md, "Static analysis & determinism
-//! contract".
-//!
-//! [`Cycle`]: https://docs.rs/sim-core
+//! offending line; a waiver that names no lint or waives nothing is
+//! itself an `unfulfilled-allow` finding. See DESIGN.md, "Static analysis
+//! & determinism contract".
 //!
 //! # Examples
 //!
@@ -58,35 +51,27 @@
 //! use simlint::{lint_file, Config, FileCtx};
 //!
 //! let cfg = Config::trans_fw();
-//! let ctx = FileCtx::new("crates/tlb/src/lib.rs");
-//! let v = lint_file(&ctx, "use std::collections::HashMap;", &cfg);
+//! let ctx = FileCtx::new("crates/mgpu/src/policy.rs");
+//! let src = "fn f(e: Event) { match e { Event::Tick => t(), _ => {} } }";
+//! let v = lint_file(&ctx, src, &cfg);
 //! assert_eq!(v.len(), 1);
-//! assert_eq!(v[0].lint.name(), "det-collections");
+//! assert_eq!(v[0].lint.name(), "protocol-exhaustive");
 //! ```
 
-pub mod baseline;
 pub mod hir;
 pub mod lexer;
 pub mod lints;
 pub mod passes;
-pub mod shard;
 pub mod symbols;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineEntry, Diff};
 pub use lints::{lint_file, lint_metrics};
 
 /// The lint classes simlint enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// Raw `HashMap`/`HashSet` in a sim-state crate.
-    DetCollections,
-    /// Wall-clock or ambient randomness outside the bench harness.
-    DetWallclock,
-    /// `unwrap`/`expect`/indexing in an event-loop hot path.
-    PanicFreedom,
     /// Wildcard arm in a match over a protocol enum.
     ProtocolExhaustive,
     /// A match over `ProtocolEvent` outside the shared transition module.
@@ -101,24 +86,17 @@ pub enum Lint {
     CounterSaturation,
     /// A panic site reachable from the protected mgpu hot paths.
     PanicReach,
-    /// A fn touching per-GPU component state keyed by more than one (or
-    /// no) `GpuId`, outside the designated boundary modules.
-    ShardConfinement,
     /// A struct reachable through the epoch `StateDigest` with a field
     /// that never flows into any digest path.
     EpochDigestCoverage,
-    /// A `DetMap`/`DetSet` iteration closure mutating captured sim state
-    /// outside the iterated map.
-    OrderDependentIteration,
+    /// A `simlint::allow` directive that names no lint or waives nothing.
+    UnfulfilledAllow,
 }
 
 impl Lint {
-    /// The lint's stable name, as used in baselines and allow directives.
+    /// The lint's stable name, as used in reports and allow directives.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::DetCollections => "det-collections",
-            Lint::DetWallclock => "det-wallclock",
-            Lint::PanicFreedom => "panic-freedom",
             Lint::ProtocolExhaustive => "protocol-exhaustive",
             Lint::ProtocolTransition => "protocol-transition",
             Lint::MetricsComplete => "metrics-complete",
@@ -126,56 +104,19 @@ impl Lint {
             Lint::RngStream => "rng-stream-discipline",
             Lint::CounterSaturation => "counter-saturation",
             Lint::PanicReach => "panic-reach",
-            Lint::ShardConfinement => "shard-confinement",
             Lint::EpochDigestCoverage => "epoch-digest-coverage",
-            Lint::OrderDependentIteration => "order-dependent-iteration",
+            Lint::UnfulfilledAllow => "unfulfilled-allow",
         }
     }
 
     /// Parses a lint name.
     pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "det-collections" => Lint::DetCollections,
-            "det-wallclock" => Lint::DetWallclock,
-            "panic-freedom" => Lint::PanicFreedom,
-            "protocol-exhaustive" => Lint::ProtocolExhaustive,
-            "protocol-transition" => Lint::ProtocolTransition,
-            "metrics-complete" => Lint::MetricsComplete,
-            "digest-complete" => Lint::DigestComplete,
-            "rng-stream-discipline" => Lint::RngStream,
-            "counter-saturation" => Lint::CounterSaturation,
-            "panic-reach" => Lint::PanicReach,
-            "shard-confinement" => Lint::ShardConfinement,
-            "epoch-digest-coverage" => Lint::EpochDigestCoverage,
-            "order-dependent-iteration" => Lint::OrderDependentIteration,
-            _ => return None,
-        })
+        Self::all().into_iter().find(|l| l.name() == name)
     }
 
-    /// Whether the lint guards determinism (the class the acceptance
-    /// criteria require a zero-entry baseline for). The shard-safety
-    /// classes belong here: an unconfined cross-shard access or an
-    /// uncovered epoch field breaks bit-identity under the parallel
-    /// engine just as surely as a raw `HashMap` does sequentially.
-    pub fn is_determinism_class(self) -> bool {
-        matches!(
-            self,
-            Lint::DetCollections
-                | Lint::DetWallclock
-                | Lint::DigestComplete
-                | Lint::RngStream
-                | Lint::ShardConfinement
-                | Lint::EpochDigestCoverage
-                | Lint::OrderDependentIteration
-        )
-    }
-
-    /// Every lint, for `--list`-style output.
-    pub fn all() -> [Lint; 13] {
+    /// Every lint, for `--help` output and per-lint counts.
+    pub fn all() -> [Lint; 9] {
         [
-            Lint::DetCollections,
-            Lint::DetWallclock,
-            Lint::PanicFreedom,
             Lint::ProtocolExhaustive,
             Lint::ProtocolTransition,
             Lint::MetricsComplete,
@@ -183,9 +124,8 @@ impl Lint {
             Lint::RngStream,
             Lint::CounterSaturation,
             Lint::PanicReach,
-            Lint::ShardConfinement,
             Lint::EpochDigestCoverage,
-            Lint::OrderDependentIteration,
+            Lint::UnfulfilledAllow,
         ]
     }
 }
@@ -205,9 +145,9 @@ pub struct Violation {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Stable grouping key for baseline matching (e.g. `HashMap`,
-    /// `unwrap`, `index`, `wildcard-arm(Event)`) — deliberately *not* the
-    /// line number, so baselines survive unrelated edits.
+    /// Stable grouping key (e.g. `wildcard-arm(Event)`,
+    /// `undigested(WalkCache.pressure)`) — deliberately *not* the line
+    /// number, so keys survive unrelated edits.
     pub key: String,
     /// Human-readable description.
     pub message: String,
@@ -254,10 +194,11 @@ impl FileCtx {
 /// contract; tests construct narrower ones.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crate dirs whose non-test code models simulator state: raw hash
-    /// collections are forbidden here.
+    /// Crate dirs whose non-test code models simulator state: the
+    /// counter-saturation audit covers their `*Stats`/`RunMetrics` fields.
     pub sim_state_crates: Vec<String>,
-    /// Hot-path files under the panic-freedom lint.
+    /// The event-loop hot-path files: the panic-reach roots, and the files
+    /// that carry the module-level clippy panic lints.
     pub hot_path_files: Vec<String>,
     /// Protocol enums whose matches must be exhaustive.
     pub protocol_enums: Vec<String>,
@@ -283,14 +224,6 @@ pub struct Config {
     pub rng_home: String,
     /// Crate dirs the panic-reach call graph spans.
     pub reach_crates: Vec<String>,
-    /// Names of containers indexed by GPU id (`self.<name>[g]` or
-    /// `.get(g)`): accesses into these are what shard confinement tracks.
-    pub per_gpu_containers: Vec<String>,
-    /// Crate dirs under the shard-confinement analysis.
-    pub shard_crates: Vec<String>,
-    /// Path prefixes where cross-shard access is legal (the forwarding
-    /// protocol, recovery, placement, the fabric, and the epoch layer).
-    pub shard_boundary_modules: Vec<String>,
     /// `(file, fn)` of the epoch digest root the transitive coverage
     /// audit starts from.
     pub epoch_root: (String, String),
@@ -356,35 +289,6 @@ impl Config {
             .iter()
             .map(|s| c(s))
             .collect(),
-            per_gpu_containers: [
-                "gpus",
-                "offline_until",
-                "retry",
-                "gpu_queue_gates",
-                "mshr_gates",
-                "breakers",
-                "gates",
-                "refaults",
-                "recently_evicted",
-                "resident",
-            ]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-            shard_crates: ["core", "tlb", "ptw", "uvm", "mgpu", "interconnect"]
-                .iter()
-                .map(|s| c(s))
-                .collect(),
-            shard_boundary_modules: [
-                "mgpu/src/protocol",
-                "mgpu/src/recovery.rs",
-                "mgpu/src/placement.rs",
-                "mgpu/src/system.rs",
-                "interconnect/src",
-            ]
-            .iter()
-            .map(|s| c(s))
-            .collect(),
             epoch_root: (c("mgpu/src/recovery.rs"), "state_digest".into()),
             epoch_exempt_types: [
                 // Behavior-neutral by construction, or audited elsewhere.
@@ -427,18 +331,14 @@ impl Config {
     }
 }
 
-/// Outcome of a workspace run: every violation, already split by the
+/// Outcome of a workspace run: every finding, already split by the
 /// inline-allow mechanism.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Violations not waived inline (baseline diffing applies to these).
+    /// Findings not waived inline: any one of them fails the run.
     pub violations: Vec<Violation>,
-    /// Violations waived by a `simlint::allow` directive.
+    /// Findings waived by a `simlint::allow` directive.
     pub waived: Vec<Violation>,
-    /// Every cross-shard access site with its disposition — the shard
-    /// boundary contract (`shard_boundary.json`) the parallel engine
-    /// builds against. Sorted by (file, line, kind, what).
-    pub shard_sites: Vec<shard::ShardSite>,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -461,78 +361,34 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     Ok(run_sources(&sources, cfg))
 }
 
-/// Lints a set of in-memory sources: the per-file token lints, the
-/// metrics-completeness pass (when both its files are present), and the
-/// flow-aware workspace passes from [`passes`]. This is the shared core of
+/// Lints a set of in-memory sources: the per-file token lints and the
+/// flow-aware workspace passes from [`passes`], with inline waivers
+/// resolved by `lints::apply_allows`, plus the metrics-completeness pass
+/// (when both its files are present). This is the shared core of
 /// [`run_workspace`] and the multi-file fixture tests.
 pub fn run_sources(sources: &[(FileCtx, String)], cfg: &Config) -> Report {
-    let mut report = Report {
-        files_scanned: sources.len(),
-        ..Report::default()
-    };
-    for (ctx, src) in sources {
-        for v in lints::lint_file_with_allows(ctx, src, cfg) {
-            match v {
-                lints::Outcome::Fires(v) => report.violations.push(v),
-                lints::Outcome::Waived(v) => report.waived.push(v),
-            }
-        }
+    let ws = symbols::Workspace::build(sources);
+    let mut found = Vec::new();
+    for unit in &ws.units {
+        lints::lint_tokens(&unit.ctx, &unit.lexed, &unit.regions, cfg, &mut found);
     }
-    // Metrics completeness needs both the struct and serializer files.
+    found.extend(passes::run(&ws, cfg));
+    let (mut violations, mut waived) = lints::apply_allows(&ws, found);
+    // Metrics completeness needs both the struct and serializer files. Its
+    // findings are not waivable: every public counter must be serialized.
     let find = |path: &str| sources.iter().find(|(c, _)| c.rel_path == path);
     if let (Some((_, metrics_src)), Some((_, ser_src))) =
         (find(&cfg.metrics_struct.0), find(&cfg.metrics_serializer.0))
     {
-        report
-            .violations
-            .extend(lint_metrics(metrics_src, ser_src, cfg));
+        violations.extend(lint_metrics(metrics_src, ser_src, cfg));
     }
-    // Flow-aware passes over the whole workspace, then the same
-    // same-line-or-line-above inline-waiver rule as the token lints.
-    let ws = symbols::Workspace::build(sources);
-    let is_waived = |v: &Violation| {
-        ws.units
-            .iter()
-            .find(|u| u.ctx.rel_path == v.file)
-            .is_some_and(|u| {
-                u.lexed.allows.iter().any(|a| {
-                    a.lint == v.lint.name() && (a.line == v.line || a.line + 1 == v.line)
-                })
-            })
-    };
-    for v in passes::run(&ws, cfg) {
-        if is_waived(&v) {
-            report.waived.push(v);
-        } else {
-            report.violations.push(v);
-        }
-    }
-    // Shard-safety layer: confinement, epoch coverage, iteration order.
-    // Waived confinement findings still land in the boundary report (as
-    // disposition `waived`) so the contract stays complete.
-    let shard_out = shard::analyze(&ws, cfg);
-    report.shard_sites = shard_out.sites;
-    for v in shard_out.violations {
-        if is_waived(&v) {
-            if v.lint == Lint::ShardConfinement {
-                report.shard_sites.push(shard::ShardSite::waived_from(&v));
-            }
-            report.waived.push(v);
-        } else {
-            report.violations.push(v);
-        }
-    }
-    // Deterministic output order, whatever the directory walk produced —
-    // violations, waived findings and the boundary contract alike, so
-    // archived CI reports diff cleanly across runs.
+    // Deterministic output order, whatever the directory walk produced,
+    // so archived CI reports diff cleanly across runs.
     let by_site =
         |a: &Violation, b: &Violation| (&a.file, a.line, a.lint, &a.key).cmp(&(&b.file, b.line, b.lint, &b.key));
-    report.violations.sort_by(by_site);
-    report.waived.sort_by(by_site);
-    report
-        .shard_sites
-        .sort_by(|a, b| (&a.file, a.line, &a.kind, &a.what).cmp(&(&b.file, b.line, &b.kind, &b.what)));
-    report
+    violations.sort_by(by_site);
+    waived.sort_by(by_site);
+    Report { violations, waived, files_scanned: sources.len() }
 }
 
 /// Collects the workspace-relative paths of every `.rs` file the linter
@@ -610,21 +466,5 @@ mod tests {
             assert_eq!(Lint::from_name(lint.name()), Some(lint));
         }
         assert_eq!(Lint::from_name("nope"), None);
-    }
-
-    #[test]
-    fn determinism_class_covers_det_digest_rng_and_shard() {
-        assert!(Lint::DetCollections.is_determinism_class());
-        assert!(Lint::DetWallclock.is_determinism_class());
-        assert!(Lint::DigestComplete.is_determinism_class());
-        assert!(Lint::RngStream.is_determinism_class());
-        assert!(Lint::ShardConfinement.is_determinism_class());
-        assert!(Lint::EpochDigestCoverage.is_determinism_class());
-        assert!(Lint::OrderDependentIteration.is_determinism_class());
-        assert!(!Lint::PanicFreedom.is_determinism_class());
-        assert!(!Lint::ProtocolExhaustive.is_determinism_class());
-        assert!(!Lint::MetricsComplete.is_determinism_class());
-        assert!(!Lint::CounterSaturation.is_determinism_class());
-        assert!(!Lint::PanicReach.is_determinism_class());
     }
 }

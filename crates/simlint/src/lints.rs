@@ -1,204 +1,95 @@
-//! The six lint passes, operating on [`crate::lexer`] token streams.
+//! The token lints, operating on [`crate::lexer`] token streams, and the
+//! inline-waiver resolution shared by every pass.
 //!
-//! Each pass is a pure function from tokens to [`Violation`]s; the inline
+//! Each lint is a pure function from tokens to [`Violation`]s; the inline
 //! `simlint::allow` waiver mechanism is applied uniformly on top by
-//! [`lint_file_with_allows`]. Keys are chosen to be stable under unrelated
-//! edits (identifier names, enum names), never line numbers.
+//! `apply_allows`. Keys are chosen to be stable under unrelated edits
+//! (identifier names, enum names), never line numbers.
 
 use crate::lexer::{self, Lexed, Tok, TokKind};
+use crate::symbols::Workspace;
 use crate::{Config, FileCtx, Lint, Violation};
 
-/// A violation after waiver resolution.
-#[derive(Debug, Clone)]
-pub enum Outcome {
-    /// Counts against the baseline.
-    Fires(Violation),
-    /// Waived by an inline `simlint::allow` directive.
-    Waived(Violation),
-}
-
-/// Lints one file, ignoring inline waivers (the fixture-test entry point).
+/// Lints one file with the token lints, ignoring inline waivers (the
+/// fixture-test entry point).
 pub fn lint_file(ctx: &FileCtx, src: &str, cfg: &Config) -> Vec<Violation> {
-    lint_file_with_allows(ctx, src, cfg)
-        .into_iter()
-        .map(|o| match o {
-            Outcome::Fires(v) | Outcome::Waived(v) => v,
-        })
-        .collect()
-}
-
-/// Lints one file and resolves inline waivers: a `simlint::allow(<lint>)`
-/// comment waives that lint's violations on the same line or the line
-/// directly below (for directives placed on their own comment line).
-pub fn lint_file_with_allows(ctx: &FileCtx, src: &str, cfg: &Config) -> Vec<Outcome> {
     let lexed = lexer::lex(src);
     let regions = lexer::test_regions(&lexed.tokens);
+    let mut out = Vec::new();
+    lint_tokens(ctx, &lexed, &regions, cfg, &mut out);
+    out
+}
+
+/// Runs every token lint over one already-lexed file.
+pub(crate) fn lint_tokens(
+    ctx: &FileCtx,
+    lexed: &Lexed,
+    test_regions: &[(usize, usize)],
+    cfg: &Config,
+    out: &mut Vec<Violation>,
+) {
+    protocol_exhaustive(ctx, lexed, test_regions, cfg, out);
+    protocol_transition(ctx, lexed, test_regions, cfg, out);
+}
+
+/// Splits `found` into unwaived and waived findings. A
+/// `simlint::allow(<lint>)` comment waives that lint's findings on its own
+/// line or the line directly below (for directives on their own comment
+/// line). A directive that names no lint, or waives nothing, is itself an
+/// `unfulfilled-allow` finding, so dead waivers cannot pile up.
+pub(crate) fn apply_allows(
+    ws: &Workspace,
+    found: Vec<Violation>,
+) -> (Vec<Violation>, Vec<Violation>) {
+    let mut used: Vec<Vec<bool>> = ws
+        .units
+        .iter()
+        .map(|u| vec![false; u.lexed.allows.len()])
+        .collect();
     let mut violations = Vec::new();
-    det_collections(ctx, &lexed, &regions, cfg, &mut violations);
-    det_wallclock(ctx, &lexed, cfg, &mut violations);
-    panic_freedom(ctx, &lexed, &regions, cfg, &mut violations);
-    protocol_exhaustive(ctx, &lexed, &regions, cfg, &mut violations);
-    protocol_transition(ctx, &lexed, &regions, cfg, &mut violations);
-    violations
-        .into_iter()
-        .map(|v| {
-            let waived = lexed.allows.iter().any(|a| {
-                a.lint == v.lint.name() && (a.line == v.line || a.line + 1 == v.line)
-            });
-            if waived {
-                Outcome::Waived(v)
-            } else {
-                Outcome::Fires(v)
-            }
-        })
-        .collect()
-}
-
-/// `det-collections`: raw `HashMap`/`HashSet` in non-test code of a
-/// sim-state crate. Hash collections iterate in a per-process-random
-/// order (`RandomState`), so any state they back can replay differently
-/// run to run; `DetMap`/`DetSet` are the drop-in ordered replacements.
-fn det_collections(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    test_regions: &[(usize, usize)],
-    cfg: &Config,
-    out: &mut Vec<Violation>,
-) {
-    if !cfg.sim_state_crates.contains(&ctx.crate_dir) || ctx.is_test_file {
-        return;
-    }
-    for tok in &lexed.tokens {
-        let Some(name) = tok.ident() else { continue };
-        if (name == "HashMap" || name == "HashSet")
-            && !lexer::in_regions(test_regions, tok.line)
-        {
-            out.push(Violation {
-                lint: Lint::DetCollections,
-                file: ctx.rel_path.clone(),
-                line: tok.line,
-                key: name.to_string(),
-                message: format!(
-                    "raw `{name}` in sim-state crate {}; use `sim_core::det::{}` \
-                     so iteration order is identical on every run",
-                    ctx.crate_dir,
-                    if name == "HashMap" { "DetMap" } else { "DetSet" },
-                ),
-            });
-        }
-    }
-}
-
-/// `det-wallclock`: wall-clock time or ambient randomness anywhere in the
-/// simulator (test code included — a test that consults the host clock is
-/// a flaky test). Simulated time is `Cycle`s; randomness is the seeded
-/// `SimRng`.
-fn det_wallclock(ctx: &FileCtx, lexed: &Lexed, _cfg: &Config, out: &mut Vec<Violation>) {
-    for (i, tok) in lexed.tokens.iter().enumerate() {
-        let Some(name) = tok.ident() else { continue };
-        let key = match name {
-            "Instant" | "SystemTime" | "thread_rng" => name.to_string(),
-            "random" => {
-                // Only the ambient `rand::random` path form; a method or
-                // field named `random` on the seeded RNG is fine.
-                let is_path = i >= 3
-                    && lexed.tokens[i - 1].is_punct(':')
-                    && lexed.tokens[i - 2].is_punct(':')
-                    && lexed.tokens[i - 3].is_ident("rand");
-                if !is_path {
-                    continue;
-                }
-                "rand::random".to_string()
-            }
-            _ => continue,
+    let mut waived = Vec::new();
+    for v in found {
+        let covers = |a: &lexer::AllowDirective| {
+            a.lint == v.lint.name() && (a.line == v.line || a.line + 1 == v.line)
         };
-        out.push(Violation {
-            lint: Lint::DetWallclock,
-            file: ctx.rel_path.clone(),
-            line: tok.line,
-            key: key.clone(),
-            message: format!(
-                "`{key}` is nondeterministic; simulated time is `Cycle`s and \
-                 randomness comes from the seeded `SimRng`"
-            ),
+        let hit = ws.units.iter().position(|u| u.ctx.rel_path == v.file).and_then(|ui| {
+            ws.units[ui].lexed.allows.iter().position(covers).map(|ai| (ui, ai))
         });
-    }
-}
-
-/// Rust keywords that may legitimately precede a `[` without the bracket
-/// being an index expression (slice patterns, attribute positions, etc.).
-const NON_INDEX_PRECEDERS: &[&str] = &[
-    "let", "mut", "ref", "in", "if", "else", "match", "return", "for", "while",
-    "loop", "move", "dyn", "as", "break", "continue", "where", "impl", "fn",
-    "pub", "use", "crate", "super", "const", "static", "type", "struct", "enum",
-    "mod", "trait", "unsafe", "async", "await", "yield", "box",
-];
-
-/// `panic-freedom`: `.unwrap()`, `.expect(` and direct `container[index]`
-/// expressions in the event-loop hot paths, outside test code. A panic
-/// mid-event tears down the run and loses the checkpoint window; hot-path
-/// code must degrade through `Result`/`Option` instead.
-fn panic_freedom(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    test_regions: &[(usize, usize)],
-    cfg: &Config,
-    out: &mut Vec<Violation>,
-) {
-    if !cfg.hot_path_files.contains(&ctx.rel_path) || ctx.is_test_file {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if lexer::in_regions(test_regions, tok.line) {
-            continue;
-        }
-        match &tok.kind {
-            TokKind::Ident(name) if name == "unwrap" || name == "expect" => {
-                let is_method_call = i >= 1
-                    && toks[i - 1].is_punct('.')
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct('('));
-                if is_method_call {
-                    out.push(Violation {
-                        lint: Lint::PanicFreedom,
-                        file: ctx.rel_path.clone(),
-                        line: tok.line,
-                        key: name.clone(),
-                        message: format!(
-                            "`.{name}()` can panic mid-event; hot-path code must \
-                             handle the failure (or recover, e.g. \
-                             `unwrap_or_else(PoisonError::into_inner)`)"
-                        ),
-                    });
-                }
+        match hit {
+            Some((ui, ai)) => {
+                used[ui][ai] = true;
+                waived.push(v);
             }
-            TokKind::Punct('[') => {
-                // An index expression's `[` directly follows the indexed
-                // expression: an identifier, `)`, or `]`. Anything else
-                // (slice literals, patterns, attributes, `vec![`) does not.
-                let is_index = i >= 1
-                    && match &toks[i - 1].kind {
-                        TokKind::Ident(prev) => {
-                            !NON_INDEX_PRECEDERS.contains(&prev.as_str())
-                        }
-                        TokKind::Punct(')') | TokKind::Punct(']') => true,
-                        TokKind::Punct(_) | TokKind::Num(_) => false,
-                    };
-                if is_index {
-                    out.push(Violation {
-                        lint: Lint::PanicFreedom,
-                        file: ctx.rel_path.clone(),
-                        line: tok.line,
-                        key: "index".to_string(),
-                        message: "direct indexing panics on out-of-bounds; use \
-                                  `.get()` or justify in the baseline"
-                            .to_string(),
-                    });
-                }
-            }
-            _ => {}
+            None => violations.push(v),
         }
     }
+    for (unit, used) in ws.units.iter().zip(&used) {
+        for (a, _) in unit.lexed.allows.iter().zip(used).filter(|(_, &u)| !u) {
+            let (key, message) = if Lint::from_name(&a.lint).is_some() {
+                (
+                    format!("unfulfilled({})", a.lint),
+                    format!(
+                        "`simlint::allow({})` waives nothing on its line or the \
+                         next; delete the stale waiver",
+                        a.lint
+                    ),
+                )
+            } else {
+                (
+                    format!("unknown-lint({})", a.lint),
+                    format!("`simlint::allow({})` names no simlint lint", a.lint),
+                )
+            };
+            violations.push(Violation {
+                lint: Lint::UnfulfilledAllow,
+                file: unit.ctx.rel_path.clone(),
+                line: a.line,
+                key,
+                message,
+            });
+        }
+    }
+    (violations, waived)
 }
 
 /// `protocol-exhaustive`: a `_ =>` arm in a match whose arms name one of
@@ -504,64 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_flagged_in_sim_state_crate_only() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }\n";
-        let v = lint("crates/tlb/src/lib.rs", src);
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|v| v.lint == Lint::DetCollections));
-        // experiments is not a sim-state crate
-        assert!(lint("crates/experiments/src/runner.rs", src).is_empty());
-    }
-
-    #[test]
-    fn hashmap_in_cfg_test_is_fine() {
-        let src = "struct S;\n#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
-        assert!(lint("crates/cuckoo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wallclock_flagged_everywhere_but_waivable() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let v = lint("crates/experiments/src/bin/repro.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].key, "Instant");
-        let waived = "// simlint::allow(det-wallclock): harness timing\nfn f() { let t = std::time::Instant::now(); }\n";
-        let outs = lint_file_with_allows(
-            &FileCtx::new("crates/experiments/src/bin/repro.rs"),
-            waived,
-            &cfg(),
-        );
-        assert!(matches!(outs.as_slice(), [Outcome::Waived(_)]));
-    }
-
-    #[test]
-    fn rand_random_needs_the_path_form() {
-        let flagged = "fn f() { let x: u8 = rand::random(); }\n";
-        assert_eq!(lint("crates/mgpu/src/policy.rs", flagged).len(), 1);
-        let fine = "fn f(rng: &mut SimRng) { let x = rng.random(); }\n";
-        assert!(lint("crates/mgpu/src/policy.rs", fine).is_empty());
-    }
-
-    #[test]
-    fn unwrap_and_indexing_in_hot_path() {
-        let src = "fn f(v: &[u32], m: M) { let a = v[0]; m.get().unwrap(); }\n";
-        let v = lint("crates/mgpu/src/system.rs", src);
-        let keys: Vec<&str> = v.iter().map(|v| v.key.as_str()).collect();
-        assert_eq!(keys, ["index", "unwrap"]);
-        // Same code outside a hot-path file is not flagged.
-        assert!(lint("crates/mgpu/src/policy.rs", src).is_empty());
-    }
-
-    #[test]
-    fn slice_patterns_attrs_and_macros_are_not_indexing() {
-        let src = "\
-#[derive(Debug)]\n\
-struct S;\n\
-fn f() { let [a, b] = pair(); let v = vec![1, 2]; let w: [u8; 4] = make(); }\n";
-        assert!(lint("crates/mgpu/src/system.rs", src).is_empty());
-    }
-
-    #[test]
     fn wildcard_over_protocol_enum_flagged() {
         let src = "\
 fn f(e: Event) {\n\
@@ -639,6 +472,41 @@ fn send(gpu: u32, vpn: u64) {\n\
     match color { Color::Red => r(), Color::Blue => b() }\n\
 }\n";
         assert!(lint("crates/mgpu/src/policy.rs", src).is_empty());
+    }
+
+    #[test]
+    fn stale_and_unknown_waivers_are_findings() {
+        let src = "\
+fn f(e: Event) {\n\
+    match e {\n\
+        Event::Tick => go(),\n\
+        // simlint::allow(protocol-exhaustive): the arm below\n\
+        _ => {}\n\
+    }\n\
+}\n\
+// simlint::allow(protocol-transition): nothing here to waive\n\
+fn g() {}\n\
+// simlint::allow(no-such-lint)\n\
+/// Doc comments only quote the syntax: simlint::allow(no-such-lint)\n\
+fn h() {}\n";
+        let report = crate::run_sources(
+            &[(FileCtx::new("crates/mgpu/src/policy.rs"), src.to_string())],
+            &cfg(),
+        );
+        let waived: Vec<&str> = report.waived.iter().map(|v| v.key.as_str()).collect();
+        assert_eq!(waived, ["wildcard-arm(Event)"]);
+        let found: Vec<(Lint, usize, &str)> = report
+            .violations
+            .iter()
+            .map(|v| (v.lint, v.line, v.key.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (Lint::UnfulfilledAllow, 8, "unfulfilled(protocol-transition)"),
+                (Lint::UnfulfilledAllow, 10, "unknown-lint(no-such-lint)"),
+            ]
+        );
     }
 
     #[test]

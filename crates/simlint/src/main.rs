@@ -1,74 +1,50 @@
-//! `simlint` CLI: lint the workspace and diff against the baseline.
+//! `simlint` CLI: lint the workspace; any unwaived finding fails.
 //!
 //! ```text
-//! cargo run -p simlint                      # lint, diff against simlint.baseline.toml
+//! cargo run -p simlint                      # lint, print unwaived findings
+//! cargo run -p simlint -- -v                # also list waived findings
 //! cargo run -p simlint -- --json            # machine-readable report on stdout
-//! cargo run -p simlint -- --deny-stale      # stale baseline entries are errors (CI)
 //! cargo run -p simlint -- --write-bench     # append a findings snapshot to BENCH_LINT.json
 //! cargo run -p simlint -- --check-bench     # diff per-lint counts against the last snapshot
-//! cargo run -p simlint -- --write-baseline  # regenerate the baseline (justifications = TODO)
-//! cargo run -p simlint -- --write-shard-report  # regenerate shard_boundary.json
-//! cargo run -p simlint -- --check-shard-report  # diff the contract against the committed copy
-//! cargo run -p simlint -- --root /path --baseline other.toml
+//! cargo run -p simlint -- --root /path      # lint another checkout
 //! ```
 //!
-//! Exit codes: 0 clean (all findings baselined/waived), 1 new violations,
-//! stale entries under `--deny-stale`, a bench regression under
-//! `--check-bench`, a shard-contract drift under `--check-shard-report`,
-//! or a broken baseline file; 2 usage error.
+//! Exit codes: 0 clean (every finding waived inline), 1 an unwaived
+//! finding or a bench regression under `--check-bench`; 2 usage error.
 
-use simlint::{Baseline, Config, Lint, Report};
+use simlint::{Config, Lint, Report};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    baseline: PathBuf,
-    write_baseline: bool,
     verbose: bool,
     json: bool,
-    deny_stale: bool,
     write_bench: bool,
     check_bench: bool,
-    write_shard_report: bool,
-    check_shard_report: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut verbose = false;
     let mut json = false;
-    let mut deny_stale = false;
     let mut write_bench = false;
     let mut check_bench = false;
-    let mut write_shard_report = false;
-    let mut check_shard_report = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--root" => {
                 root = PathBuf::from(argv.next().ok_or("--root needs a path")?);
             }
-            "--baseline" => {
-                baseline = Some(PathBuf::from(argv.next().ok_or("--baseline needs a path")?));
-            }
-            "--write-baseline" => write_baseline = true,
             "--verbose" | "-v" => verbose = true,
             "--json" => json = true,
-            "--deny-stale" => deny_stale = true,
             "--write-bench" => write_bench = true,
             "--check-bench" => check_bench = true,
-            "--write-shard-report" => write_shard_report = true,
-            "--check-shard-report" => check_shard_report = true,
             "--help" | "-h" => {
                 println!(
                     "simlint — workspace determinism & protocol linter\n\n\
-                     USAGE: simlint [--root DIR] [--baseline FILE] [--write-baseline]\n\
-                     \x20              [--json] [--deny-stale] [--write-bench] [--check-bench]\n\
-                     \x20              [--write-shard-report] [--check-shard-report] [-v]\n\n\
+                     USAGE: simlint [--root DIR] [--json] [--write-bench] [--check-bench] [-v]\n\n\
                      Lints:"
                 );
                 for lint in Lint::all() {
@@ -94,19 +70,7 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("simlint.baseline.toml"));
-    Ok(Args {
-        root,
-        baseline,
-        write_baseline,
-        verbose,
-        json,
-        deny_stale,
-        write_bench,
-        check_bench,
-        write_shard_report,
-        check_shard_report,
-    })
+    Ok(Args { root, verbose, json, write_bench, check_bench })
 }
 
 /// Findings per lint name (zero-filled so trends never drop a series).
@@ -139,8 +103,8 @@ fn json_str(s: &str) -> String {
 }
 
 /// The machine-readable report: totals, per-lint counts, and every
-/// finding (new, baselined, and waived) with its disposition.
-fn render_json(report: &Report, diff: &simlint::Diff) -> String {
+/// finding (unwaived and waived) with its disposition.
+fn render_json(report: &Report) -> String {
     let counts = per_lint_counts(report);
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files\": {},\n", report.files_scanned));
@@ -149,8 +113,7 @@ fn render_json(report: &Report, diff: &simlint::Diff) -> String {
         report.violations.len() + report.waived.len()
     ));
     out.push_str(&format!("  \"waived\": {},\n", report.waived.len()));
-    out.push_str(&format!("  \"new\": {},\n", diff.new.len()));
-    out.push_str(&format!("  \"stale\": {},\n", diff.stale.len()));
+    out.push_str(&format!("  \"unwaived\": {},\n", report.violations.len()));
     out.push_str("  \"per_lint\": {");
     let body: Vec<String> = counts
         .iter()
@@ -158,14 +121,8 @@ fn render_json(report: &Report, diff: &simlint::Diff) -> String {
         .collect();
     out.push_str(&body.join(", "));
     out.push_str("},\n  \"violations\": [\n");
-    let mut rows = Vec::new();
-    for v in &report.violations {
-        let disposition = if diff.new.contains(v) { "new" } else { "baselined" };
-        rows.push((v, disposition));
-    }
-    for v in &report.waived {
-        rows.push((v, "waived"));
-    }
+    let mut rows: Vec<_> = report.violations.iter().map(|v| (v, "unwaived")).collect();
+    rows.extend(report.waived.iter().map(|v| (v, "waived")));
     // Fully deterministic order across the merged lists, so archived CI
     // reports diff cleanly run to run.
     rows.sort_by(|(a, _), (b, _)| {
@@ -240,73 +197,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if args.write_baseline {
-        let baseline = Baseline::covering(&report.violations);
-        if let Err(e) = std::fs::write(&args.baseline, baseline.render()) {
-            eprintln!("simlint: write {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "simlint: wrote {} entries to {} (fill in the TODO justifications)",
-            baseline.entries.len(),
-            args.baseline.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if args.baseline.is_file() {
-        match std::fs::read_to_string(&args.baseline)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("simlint: baseline {}: {e}", args.baseline.display());
-                return ExitCode::from(1);
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    let diff = baseline.diff(&report.violations);
     let bench_path = args.root.join("BENCH_LINT.json");
-    let shard_path = args.root.join("shard_boundary.json");
-
-    if args.write_shard_report {
-        let rendered = simlint::shard::render_report(&report.shard_sites);
-        if let Err(e) = std::fs::write(&shard_path, &rendered) {
-            eprintln!("simlint: write {}: {e}", shard_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "simlint: wrote {} boundary sites to {}",
-            report.shard_sites.len(),
-            shard_path.display()
-        );
-    }
-
-    let mut shard_drift = false;
-    if args.check_shard_report {
-        let rendered = simlint::shard::render_report(&report.shard_sites);
-        match std::fs::read_to_string(&shard_path) {
-            Ok(committed) if committed == rendered => {}
-            Ok(_) => {
-                eprintln!(
-                    "shard contract drift: {} no longer matches the analysis \
-                     (run --write-shard-report and review the diff — every \
-                     change to the cross-shard surface is a contract change)",
-                    shard_path.display()
-                );
-                shard_drift = true;
-            }
-            Err(e) => {
-                eprintln!("simlint: read {}: {e}", shard_path.display());
-                shard_drift = true;
-            }
-        }
-    }
 
     if args.write_bench {
         let existing = std::fs::read_to_string(&bench_path).unwrap_or_default();
@@ -355,41 +246,25 @@ fn main() -> ExitCode {
     }
 
     if args.json {
-        print!("{}", render_json(&report, &diff));
+        print!("{}", render_json(&report));
     } else {
         if args.verbose {
             for v in &report.waived {
                 println!("waived: {v}");
             }
-            for v in &report.violations {
-                if !diff.new.contains(v) {
-                    println!("baselined: {v}");
-                }
-            }
         }
-        for e in &diff.stale {
-            println!(
-                "stale baseline entry: {} {} {} (count {}) — tighten the ratchet",
-                e.lint, e.file, e.key, e.count
-            );
-        }
-        for v in &diff.new {
+        for v in &report.violations {
             println!("error: {v}");
         }
         println!(
-            "simlint: {} files, {} findings ({} baselined, {} waived inline), {} new",
+            "simlint: {} files, {} findings ({} waived inline), {} unwaived",
             report.files_scanned,
             report.violations.len() + report.waived.len(),
-            report.violations.len() - diff.new.len(),
             report.waived.len(),
-            diff.new.len()
+            report.violations.len()
         );
     }
-    let stale_fails = args.deny_stale && !diff.stale.is_empty();
-    if stale_fails && args.json {
-        eprintln!("simlint: {} stale baseline entries (--deny-stale)", diff.stale.len());
-    }
-    if diff.new.is_empty() && !stale_fails && !bench_regressed && !shard_drift {
+    if report.violations.is_empty() && !bench_regressed {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

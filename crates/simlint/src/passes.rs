@@ -1,4 +1,4 @@
-//! The four flow-aware workspace passes, built on [`crate::symbols`].
+//! The five flow-aware workspace passes, built on [`crate::symbols`].
 //!
 //! Unlike the token lints in [`crate::lints`], these passes see the whole
 //! workspace at once: struct field tables, the per-crate digest call
@@ -13,6 +13,15 @@
 //!   silent-nondeterminism hole `run_with_restore` and digest-keyed
 //!   results cannot tolerate. Derived/cache-only state is waived inline at
 //!   the field declaration.
+//! * **`epoch-digest-coverage`** — generalizes `digest-complete`
+//!   transitively: every struct reachable through fields of a struct mixed
+//!   into the epoch `StateDigest` ([`crate::Config::epoch_root`]) must
+//!   have all its fields covered by the epoch digest path. Structs with
+//!   their own digest method are audited field-by-field by
+//!   `digest-complete` already, so this pass only checks the *nested*
+//!   plain structs that check is blind to — and it excludes
+//!   constructor-named functions (`new`/`default`/`clone`) from the
+//!   mention union, which would otherwise cover every field vacuously.
 //! * **`rng-stream-discipline`** — every `SimRng::new(expr)` stream in
 //!   sim code must be salted (`seed ^ SUBSYSTEM_SALT`) so no two
 //!   subsystems share a stream; literal-only seeds must be unique across
@@ -25,9 +34,9 @@
 //! * **`panic-reach`** — call-graph reachability from the protected mgpu
 //!   hot paths: a `.unwrap()`/`.expect()` in *any* function a hot path can
 //!   transitively reach (one crate over included) is a finding, closing
-//!   the gap the purely syntactic `panic-freedom` lint leaves open.
+//!   the gap clippy's per-file hot-path panic lints leave open.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::symbols::{CallGraph, FnNode, Workspace};
 use crate::lexer::TokKind;
@@ -37,6 +46,7 @@ use crate::{Config, Lint, Violation};
 pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Violation> {
     let mut out = Vec::new();
     digest_complete(ws, cfg, &mut out);
+    epoch_digest_coverage(ws, cfg, &mut out);
     rng_stream(ws, cfg, &mut out);
     counter_saturation(ws, cfg, &mut out);
     panic_reach(ws, cfg, &mut out);
@@ -96,6 +106,137 @@ fn digest_complete(ws: &Workspace, cfg: &Config, out: &mut Vec<Violation>) {
                             ),
                         });
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Constructor-shaped fns whose bodies mention every field by definition;
+/// including them makes any coverage audit vacuous.
+const CONSTRUCTOR_NAMES: &[&str] = &["new", "default", "clone"];
+
+/// `epoch-digest-coverage`: see module docs.
+fn epoch_digest_coverage(ws: &Workspace, cfg: &Config, out: &mut Vec<Violation>) {
+    let unit_ids = ws.units_in(&cfg.digest_crates);
+    if unit_ids.is_empty() {
+        return;
+    }
+    let graph = CallGraph::build(ws, &unit_ids);
+    // The epoch root: the state_digest fn in the configured file.
+    let mut roots: Vec<FnNode> = Vec::new();
+    let mut root_ty: Option<String> = None;
+    for &ui in &unit_ids {
+        let unit = &ws.units[ui];
+        if unit.ctx.rel_path != cfg.epoch_root.0 {
+            continue;
+        }
+        for (fi, f) in unit.hir.fns.iter().enumerate() {
+            if !f.in_test && f.name == cfg.epoch_root.1 {
+                roots.push((ui, fi));
+                root_ty = root_ty.or_else(|| f.self_ty.clone());
+            }
+        }
+    }
+    let (Some(root_ty), false) = (root_ty, roots.is_empty()) else {
+        return;
+    };
+    let root_crate = ws.units[roots[0].0].ctx.crate_dir.clone();
+    // Closure over the epoch digest path: stay in the root crate or step
+    // into digest-named fns of component crates; never into constructors.
+    let mut seen: BTreeSet<FnNode> = roots.iter().copied().collect();
+    let mut queue: VecDeque<FnNode> = roots.iter().copied().collect();
+    while let Some(node) = queue.pop_front() {
+        for callee in &ws.fn_def(node).callees {
+            if CONSTRUCTOR_NAMES.contains(&callee.as_str()) {
+                continue;
+            }
+            for crate_dir in &cfg.digest_crates {
+                for &t in graph.named_in(crate_dir, callee) {
+                    let td = ws.fn_def(t);
+                    let on_path = ws.units[t.0].ctx.crate_dir == root_crate
+                        || cfg.digest_fn_names.contains(&td.name);
+                    if on_path && seen.insert(t) {
+                        queue.push_back(t);
+                    }
+                }
+            }
+        }
+    }
+    let mut mentions: BTreeSet<&str> = BTreeSet::new();
+    for &node in &seen {
+        let f = ws.fn_def(node);
+        if CONSTRUCTOR_NAMES.contains(&f.name.as_str()) {
+            continue;
+        }
+        mentions.extend(f.sig_idents.iter().map(String::as_str));
+        mentions.extend(f.body_idents.iter().map(|(id, _)| id.as_str()));
+    }
+    // Struct tables over the digest crates.
+    let mut structs_by_name: BTreeMap<&str, Vec<(usize, &crate::hir::StructDef)>> =
+        BTreeMap::new();
+    let mut digest_bearing: BTreeSet<&str> = BTreeSet::new();
+    for &ui in &unit_ids {
+        let unit = &ws.units[ui];
+        for s in &unit.hir.structs {
+            if !s.in_test {
+                structs_by_name.entry(s.name.as_str()).or_default().push((ui, s));
+            }
+        }
+        for f in &unit.hir.fns {
+            if !f.in_test && cfg.digest_fn_names.contains(&f.name) {
+                if let Some(ty) = f.self_ty.as_deref() {
+                    digest_bearing.insert(ty);
+                }
+            }
+        }
+    }
+    // BFS over the field-type graph from the root struct.
+    let mut tseen: BTreeSet<String> = BTreeSet::new();
+    let mut tqueue: VecDeque<String> = VecDeque::from([root_ty]);
+    while let Some(ty) = tqueue.pop_front() {
+        // `*Config` never changes mid-run and `*Stats` is derived
+        // accounting; neither determines the rest of the run, so neither
+        // belongs in the epoch digest contract.
+        if !tseen.insert(ty.clone())
+            || cfg.epoch_exempt_types.contains(&ty)
+            || ty.ends_with("Config")
+            || ty.ends_with("Stats")
+        {
+            continue;
+        }
+        let Some(defs) = structs_by_name.get(ty.as_str()) else {
+            continue; // enum, alias, or foreign type: opaque to the audit
+        };
+        for &(ui, s) in defs {
+            for field in &s.fields {
+                for t in &field.ty {
+                    if structs_by_name.contains_key(t.as_str()) {
+                        tqueue.push_back(t.clone());
+                    }
+                }
+            }
+            // Digest-bearing structs are audited by digest-complete; this
+            // pass owns the nested plain structs it cannot see.
+            if digest_bearing.contains(ty.as_str()) {
+                continue;
+            }
+            for field in &s.fields {
+                if !mentions.contains(field.name.as_str()) {
+                    out.push(Violation {
+                        lint: Lint::EpochDigestCoverage,
+                        file: ws.units[ui].ctx.rel_path.clone(),
+                        line: field.line,
+                        key: format!("uncovered({}.{})", s.name, field.name),
+                        message: format!(
+                            "`{}.{}` is reachable from the epoch `StateDigest` \
+                             but never flows into its digest path; nested \
+                             uncovered state is silent nondeterminism under \
+                             checkpoint/restore — mix it or waive it \
+                             as derived/accounting-only",
+                            s.name, field.name
+                        ),
+                    });
                 }
             }
         }
@@ -289,8 +430,9 @@ fn panic_reach(ws: &Workspace, cfg: &Config, out: &mut Vec<Violation>) {
     }
     for node in graph.reachable(&roots, true) {
         let unit = &ws.units[node.0];
-        // The hot-path files themselves are the syntactic panic-freedom
-        // lint's territory; this pass covers everything they can reach.
+        // The hot-path files themselves are under clippy's `unwrap_used`/
+        // `expect_used` (their module `#![warn]`); this pass covers
+        // everything they can reach.
         if cfg.hot_path_files.contains(&unit.ctx.rel_path) {
             continue;
         }

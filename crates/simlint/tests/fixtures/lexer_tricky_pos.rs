@@ -1,15 +1,16 @@
 //! Positive lexer fixture: the same tricky literals as the negative twin,
-//! but real forbidden code *after* them — a lexer derailed by the raw
-//! strings or nested comments would miss these.
+//! but a real wildcard protocol arm *after* them — a lexer derailed by the
+//! raw strings or nested comments would miss it.
 
-/* outer /* nested: HashMap::new() */ done */
+/* outer /* nested: match e { Event::Tick => t(), _ => {} } */ done */
 
 pub fn decoy() -> String {
-    r#"HashMap in a raw string is fine"#.to_string()
+    r#"match e { Event::Tick => t(), _ => {} } in a raw string is fine"#.to_string()
 }
 
-use std::collections::HashMap;
-
-pub fn state() -> HashMap<u64, u64> {
-    HashMap::new()
+pub fn handle(e: Event) {
+    match e {
+        Event::Tick => tick(),
+        _ => {}
+    }
 }

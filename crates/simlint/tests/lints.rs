@@ -1,8 +1,8 @@
 //! Fixture-driven integration tests: one positive (violating) and one
-//! negative (clean) snippet per lint class, plus the self-test that the
-//! real workspace matches the checked-in baseline.
+//! negative (clean) snippet per lint class, plus the self-tests that the
+//! real workspace lints clean and carries the clippy side of the contract.
 
-use simlint::{lint_file, lint_metrics, Baseline, Config, FileCtx, Lint};
+use simlint::{lint_file, lint_metrics, Config, FileCtx, Lint};
 
 /// Lints a fixture as if it lived at `as_path` in the workspace.
 fn lint_fixture(src: &str, as_path: &str) -> Vec<simlint::Violation> {
@@ -11,84 +11,6 @@ fn lint_fixture(src: &str, as_path: &str) -> Vec<simlint::Violation> {
 
 fn lints_of(vs: &[simlint::Violation]) -> Vec<Lint> {
     vs.iter().map(|v| v.lint).collect()
-}
-
-#[test]
-fn det_collections_fixture_pair() {
-    let pos = lint_fixture(
-        include_str!("fixtures/det_collections_pos.rs"),
-        "crates/tlb/src/state.rs",
-    );
-    assert!(
-        pos.iter().all(|v| v.lint == Lint::DetCollections) && pos.len() >= 2,
-        "expected HashMap+HashSet findings, got {pos:?}"
-    );
-    let neg = lint_fixture(
-        include_str!("fixtures/det_collections_neg.rs"),
-        "crates/tlb/src/state.rs",
-    );
-    assert!(neg.is_empty(), "clean fixture flagged: {neg:?}");
-}
-
-#[test]
-fn det_wallclock_fixture_pair() {
-    let pos = lint_fixture(
-        include_str!("fixtures/det_wallclock_pos.rs"),
-        "crates/experiments/src/runner.rs",
-    );
-    let keys: Vec<&str> = pos.iter().map(|v| v.key.as_str()).collect();
-    assert!(pos.iter().all(|v| v.lint == Lint::DetWallclock));
-    for expect in ["Instant", "SystemTime", "rand::random", "thread_rng"] {
-        assert!(keys.contains(&expect), "missing {expect} in {keys:?}");
-    }
-    let neg = lint_fixture(
-        include_str!("fixtures/det_wallclock_neg.rs"),
-        "crates/experiments/src/runner.rs",
-    );
-    assert!(neg.is_empty(), "clean fixture flagged: {neg:?}");
-}
-
-#[test]
-fn det_wallclock_backoff_fixture_pair() {
-    // The overload subsystem's retry backoff is the classic place ambient
-    // jitter sneaks in: a backoff helper seeded from Instant/thread_rng
-    // must be flagged, the SimRng-jittered equivalent must be clean.
-    let pos = lint_fixture(
-        include_str!("fixtures/det_wallclock_backoff_pos.rs"),
-        "crates/mgpu/src/overload.rs",
-    );
-    let keys: Vec<&str> = pos.iter().map(|v| v.key.as_str()).collect();
-    assert!(pos.iter().all(|v| v.lint == Lint::DetWallclock), "{pos:?}");
-    for expect in ["Instant", "SystemTime", "rand::random", "thread_rng"] {
-        assert!(keys.contains(&expect), "missing {expect} in {keys:?}");
-    }
-    let neg = lint_fixture(
-        include_str!("fixtures/det_wallclock_backoff_neg.rs"),
-        "crates/mgpu/src/overload.rs",
-    );
-    assert!(neg.is_empty(), "deterministic backoff flagged: {neg:?}");
-}
-
-#[test]
-fn panic_freedom_fixture_pair() {
-    let pos = lint_fixture(
-        include_str!("fixtures/panic_freedom_pos.rs"),
-        "crates/mgpu/src/system.rs",
-    );
-    let mut keys: Vec<&str> = pos.iter().map(|v| v.key.as_str()).collect();
-    keys.sort_unstable();
-    assert_eq!(keys, ["expect", "index", "unwrap"], "{pos:?}");
-    // The same snippet outside a hot-path file is not linted.
-    let elsewhere = lint_fixture(
-        include_str!("fixtures/panic_freedom_pos.rs"),
-        "crates/mgpu/src/policy.rs",
-    );
-    assert!(elsewhere.is_empty());
-    let neg = lint_fixture(
-        include_str!("fixtures/panic_freedom_neg.rs"),
-        "crates/mgpu/src/system.rs",
-    );
-    assert!(neg.is_empty(), "clean fixture flagged: {neg:?}");
 }
 
 #[test]
@@ -170,10 +92,12 @@ fn lexer_tricky_fixture_pair() {
         include_str!("fixtures/lexer_tricky_pos.rs"),
         "crates/tlb/src/state.rs",
     );
-    assert!(
-        !pos.is_empty() && pos.iter().all(|v| v.lint == Lint::DetCollections),
-        "expected the post-decoy HashMap findings, got {pos:?}"
+    assert_eq!(
+        lints_of(&pos),
+        [Lint::ProtocolExhaustive],
+        "expected the post-decoy wildcard arm, got {pos:?}"
     );
+    assert_eq!(pos[0].line, 14, "{pos:?}");
 }
 
 #[test]
@@ -290,57 +214,6 @@ fn panic_reach_through_dyn_dispatch_fixture_pair() {
 }
 
 #[test]
-fn shard_confinement_fixture_pair() {
-    // Outside a boundary module all three cross-shard shapes fire.
-    let pos = run_fixture_sources(&[(
-        "crates/mgpu/src/gmmu.rs",
-        include_str!("fixtures/shard_confinement_pos.rs"),
-    )]);
-    let keys: Vec<&str> = pos.violations.iter().map(|v| v.key.as_str()).collect();
-    assert!(
-        pos.violations.iter().all(|v| v.lint == Lint::ShardConfinement),
-        "{:?}",
-        pos.violations
-    );
-    assert_eq!(
-        keys,
-        ["sweep(gpus)", "unkeyed(gpus)", "multi-key(two_gpus)"],
-        "{:?}",
-        pos.violations
-    );
-    assert!(pos.shard_sites.is_empty(), "non-boundary fixture produced sites");
-    // Keyed through the signature (directly or via a `let` derivation),
-    // or reading only the shard count: confined, nothing fires.
-    let neg = run_fixture_sources(&[(
-        "crates/mgpu/src/gmmu.rs",
-        include_str!("fixtures/shard_confinement_neg.rs"),
-    )]);
-    assert!(neg.violations.is_empty(), "clean fixture flagged: {:?}", neg.violations);
-}
-
-#[test]
-fn shard_confinement_boundary_becomes_site_not_violation() {
-    // The exact sweep that violates elsewhere is a dispositioned boundary
-    // site inside `mgpu::protocol` — it lands in the shard contract.
-    let report = run_fixture_sources(&[(
-        "crates/mgpu/src/protocol/mod.rs",
-        include_str!("fixtures/shard_confinement_boundary.rs"),
-    )]);
-    assert!(
-        !report.violations.iter().any(|v| v.lint == Lint::ShardConfinement),
-        "boundary module flagged: {:?}",
-        report.violations
-    );
-    assert_eq!(report.shard_sites.len(), 1, "{:?}", report.shard_sites);
-    let site = &report.shard_sites[0];
-    assert_eq!(
-        (site.kind.as_str(), site.what.as_str(), site.disposition.as_str()),
-        ("sweep", "gpus", "boundary:crates/mgpu/src/protocol"),
-        "{site:?}"
-    );
-}
-
-#[test]
 fn epoch_digest_coverage_fixture_pair() {
     // The top-level digest mentions every `System` field, so PR 9's
     // digest-complete is clean on both fixtures — only the transitive
@@ -363,152 +236,65 @@ fn epoch_digest_coverage_fixture_pair() {
     assert!(neg.violations.is_empty(), "clean fixture flagged: {:?}", neg.violations);
 }
 
-#[test]
-fn order_dependent_iteration_fixture_pair() {
-    let pos = run_fixture_sources(&[(
-        "crates/mgpu/src/policy.rs",
-        include_str!("fixtures/order_dependent_iteration_pos.rs"),
-    )]);
-    assert_eq!(
-        lints_of(&pos.violations),
-        [Lint::OrderDependentIteration, Lint::OrderDependentIteration],
-        "{:?}",
-        pos.violations
-    );
-    assert!(
-        pos.violations.iter().all(|v| v.key == "order-dep(owners)"),
-        "{:?}",
-        pos.violations
-    );
-    let neg = run_fixture_sources(&[(
-        "crates/mgpu/src/policy.rs",
-        include_str!("fixtures/order_dependent_iteration_neg.rs"),
-    )]);
-    assert!(neg.violations.is_empty(), "clean fixture flagged: {:?}", neg.violations);
-}
-
-/// The real workspace must lint clean against the checked-in baseline —
-/// the same check CI's static-analysis job runs, wired into `cargo test`
-/// so a violation can never land without also failing the test suite.
-#[test]
-fn workspace_matches_checked_in_baseline() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// The workspace root, two levels above this crate.
+fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crates/simlint has a workspace root two levels up")
-        .to_path_buf();
-    let cfg = Config::trans_fw();
-    let report = simlint::run_workspace(&root, &cfg).expect("workspace lints");
-    let baseline_text = std::fs::read_to_string(root.join("simlint.baseline.toml"))
-        .expect("simlint.baseline.toml is checked in");
-    let baseline = Baseline::parse(&baseline_text).expect("baseline parses");
+        .to_path_buf()
+}
 
-    // The ratchet: no finding outside the baseline.
-    let diff = baseline.diff(&report.violations);
+/// The real workspace must lint clean — the same check CI's
+/// static-analysis job runs, wired into `cargo test` so a violation can
+/// never land without also failing the test suite. Every finding is fixed
+/// or carries an inline waiver; nothing is grandfathered.
+#[test]
+fn workspace_lints_clean() {
+    let report = simlint::run_workspace(&workspace_root(), &Config::trans_fw())
+        .expect("workspace lints");
     assert!(
-        diff.new.is_empty(),
-        "new simlint violations (fix them or justify in simlint.baseline.toml):\n{}",
-        diff.new
+        report.violations.is_empty(),
+        "unwaived simlint findings (fix them or waive inline with a reason):\n{}",
+        report
+            .violations
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // The ratchet only tightens: stale entries must be removed.
-    assert!(
-        diff.stale.is_empty(),
-        "stale baseline entries — shrink simlint.baseline.toml: {:?}",
-        diff.stale
-    );
-    // Policy: determinism-class lints are never grandfathered.
-    let det_entries: Vec<_> = baseline
-        .entries
-        .iter()
-        .filter(|e| {
-            Lint::from_name(&e.lint).is_some_and(Lint::is_determinism_class)
-        })
-        .collect();
-    assert!(
-        det_entries.is_empty(),
-        "determinism-class baseline entries are forbidden: {det_entries:?}"
-    );
-    // And every entry carries a real justification.
-    for e in &baseline.entries {
-        assert!(
-            !e.justification.trim().is_empty() && !e.justification.contains("TODO"),
-            "baseline entry without a real justification: {e:?}"
-        );
-    }
-    // The flow-aware lint classes hold at zero unwaived findings on the
-    // real tree: hazards are fixed or carry an inline waiver, never
-    // grandfathered through the baseline.
-    let flow_lints = [
-        Lint::DigestComplete,
-        Lint::RngStream,
-        Lint::CounterSaturation,
-        Lint::PanicReach,
-        Lint::ShardConfinement,
-        Lint::EpochDigestCoverage,
-        Lint::OrderDependentIteration,
-    ];
-    let flow_violations: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| flow_lints.contains(&v.lint))
-        .collect();
-    assert!(
-        flow_violations.is_empty(),
-        "flow-aware findings must be fixed or waived inline: {flow_violations:?}"
-    );
-    assert!(
-        !baseline
-            .entries
-            .iter()
-            .any(|e| Lint::from_name(&e.lint).is_some_and(|l| flow_lints.contains(&l))),
-        "flow-aware lints are never grandfathered in the baseline"
-    );
 }
 
-/// The shard-safety certificate: zero unwaived shard-confinement findings
-/// outside the boundary modules, and the committed `shard_boundary.json`
-/// is exactly the contract the analyzer derives from today's tree. A
-/// cross-shard access can only land by showing up in the contract diff.
+/// The token-level determinism rules live in clippy: the root
+/// `clippy.toml` bans the nondeterministic types, and every hot-path file
+/// switches on the panic lints. `Config::hot_path_files` is the one list
+/// shared by `panic-reach` and clippy, so dropping either half of the
+/// contract fails `cargo test`, not only the CI clippy step.
 #[test]
-fn workspace_matches_shard_boundary_contract() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/simlint has a workspace root two levels up")
-        .to_path_buf();
-    let cfg = Config::trans_fw();
-    let report = simlint::run_workspace(&root, &cfg).expect("workspace lints");
-    // Every cross-shard access outside a boundary module is a violation;
-    // none may exist — this is the partitionability certificate ROADMAP
-    // item 1's parallel engine builds on.
-    let escapes: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.lint == Lint::ShardConfinement)
-        .collect();
-    assert!(
-        escapes.is_empty(),
-        "cross-shard access outside protocol/recovery/placement/fabric/epoch \
-         boundaries: {escapes:?}"
-    );
-    // Every boundary-module site is enumerated and dispositioned.
-    for site in &report.shard_sites {
+fn clippy_config_carries_the_token_rules() {
+    let root = workspace_root();
+    let clippy =
+        std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml is checked in");
+    for ty in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant",
+        "std::time::SystemTime",
+    ] {
         assert!(
-            site.disposition.starts_with("boundary:") || site.disposition == "waived",
-            "undispositioned shard site: {site:?}"
+            clippy.lines().any(|l| l.trim_start().starts_with(&format!("{{ path = \"{ty}\""))),
+            "clippy.toml does not disallow `{ty}`"
         );
     }
-    // The committed contract matches the derived one byte-for-byte.
-    let committed = std::fs::read_to_string(root.join("shard_boundary.json"))
-        .expect("shard_boundary.json is checked in");
-    let derived = simlint::shard::render_report(&report.shard_sites);
-    assert_eq!(
-        committed, derived,
-        "shard_boundary.json is stale — regenerate with \
-         `cargo run -p simlint -- --write-shard-report` and review the diff"
-    );
+    const HOT_PATH_LINTS: &str =
+        "#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]";
+    let cfg = Config::trans_fw();
+    assert!(!cfg.hot_path_files.is_empty());
+    for file in &cfg.hot_path_files {
+        let src = std::fs::read_to_string(root.join(file)).expect("hot-path file exists");
+        assert!(
+            src.lines().any(|l| l == HOT_PATH_LINTS),
+            "{file} lacks the module-level `{HOT_PATH_LINTS}`"
+        );
+    }
 }

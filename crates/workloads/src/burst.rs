@@ -280,7 +280,7 @@ mod tests {
     fn hot_window_rotates_with_the_burst() {
         let spec = burst();
         let mut s = spec.make_stream(0, 11);
-        let mut windows = vec![std::collections::HashSet::new(); spec.bursts];
+        let mut windows = vec![std::collections::BTreeSet::new(); spec.bursts];
         for i in 0..spec.accesses_per_cta() {
             let a = s.next_access().unwrap();
             if a.vpn < spec.hot_pages() {

@@ -308,7 +308,7 @@ mod tests {
         let weight_region = m.weight_total();
         let touched_weights = |cta: usize| {
             let mut s = m.make_stream(cta, 2);
-            let mut v = std::collections::HashSet::new();
+            let mut v = std::collections::BTreeSet::new();
             while let Some(a) = s.next_access() {
                 if a.vpn < weight_region {
                     v.insert(a.vpn);
@@ -330,7 +330,7 @@ mod tests {
         let act_region = 2 * m.weight_total();
         let touched_acts = |cta: usize| {
             let mut s = m.make_stream(cta, 2);
-            let mut v = std::collections::HashSet::new();
+            let mut v = std::collections::BTreeSet::new();
             while let Some(a) = s.next_access() {
                 if a.vpn >= act_region {
                     v.insert(a.vpn);

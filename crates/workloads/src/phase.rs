@@ -238,7 +238,7 @@ mod tests {
         // quarter window `phases - 1`.
         let spec = phase_shift();
         let mut s = spec.make_stream(0, 11);
-        let mut hot_by_quarter = vec![std::collections::HashSet::new(); spec.phases];
+        let mut hot_by_quarter = vec![std::collections::BTreeSet::new(); spec.phases];
         for i in 0..spec.accesses_per_cta {
             let a = s.next_access().unwrap();
             if a.vpn < spec.hot_pages() {

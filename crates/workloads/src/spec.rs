@@ -500,7 +500,7 @@ mod tests {
         let spec = aes();
         let pages = |cta: usize| {
             let mut s = spec.make_stream(cta, 9);
-            let mut v = std::collections::HashSet::new();
+            let mut v = std::collections::BTreeSet::new();
             while let Some(a) = s.next_access() {
                 v.insert(a.vpn);
             }
@@ -520,7 +520,7 @@ mod tests {
     fn random_app_spreads_over_footprint() {
         let spec = pr();
         let mut s = spec.make_stream(0, 3);
-        let mut pages = std::collections::HashSet::new();
+        let mut pages = std::collections::BTreeSet::new();
         while let Some(a) = s.next_access() {
             pages.insert(a.vpn);
         }
@@ -560,7 +560,7 @@ mod tests {
         let shared = spec.shared_pages();
         let zone_pages = |cta: usize| {
             let mut s = spec.make_stream(cta, 3);
-            let mut v = std::collections::HashSet::new();
+            let mut v = std::collections::BTreeSet::new();
             while let Some(a) = s.next_access() {
                 if a.vpn < shared {
                     v.insert(a.vpn);

@@ -2,16 +2,16 @@
 //! pattern class must produce the cross-GPU page-access structure its
 //! classification implies.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mgpu::workload::Workload;
 use workloads::{all_apps, app, AppSpec};
 
 /// Collects, per page, the set of GPUs (under 4-GPU greedy CTA placement)
 /// touching it and the access counts.
-fn profile(spec: &AppSpec) -> HashMap<u64, (u64, u64, u64)> {
+fn profile(spec: &AppSpec) -> BTreeMap<u64, (u64, u64, u64)> {
     // vpn -> (gpu_mask, reads, writes)
-    let mut map: HashMap<u64, (u64, u64, u64)> = HashMap::new();
+    let mut map: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
     let ctas = spec.cta_count();
     for cta in 0..ctas {
         let gpu = cta * 4 / ctas;
@@ -155,7 +155,7 @@ fn cta_streams_differ_across_ctas() {
     let spec = app("PR").unwrap().scaled(0.2);
     let collect = |cta: usize| {
         let mut s = spec.make_stream(cta, 9);
-        let mut v = HashSet::new();
+        let mut v = BTreeSet::new();
         while let Some(a) = s.next_access() {
             v.insert(a.vpn);
         }

@@ -3,7 +3,7 @@
 //! `proptest` crate is unavailable offline; these keep the same properties
 //! with seeded exploration over many generated cases).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use transfw_sim::cuckoo::CuckooFilter;
 use transfw_sim::mgpu::metrics::SharingProfile;
@@ -51,7 +51,7 @@ fn cuckoo_no_false_negatives() {
     for case in 0..CASES {
         let mut rng = SimRng::new(0xC0C0 ^ case);
         let mut filter = CuckooFilter::new(64, 4, 12);
-        let mut model: HashMap<u64, u32> = HashMap::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
         for _ in 0..rng.gen_index(300) {
             let key = rng.gen_range(500);
             if rng.chance(0.5) {
@@ -116,7 +116,7 @@ fn page_table_walks_match_model() {
     for case in 0..CASES {
         let mut rng = SimRng::new(0x9A6E ^ case);
         let mut pt = PageTable::new(5);
-        let mut model: HashSet<u64> = HashSet::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..rng.gen_index(200) {
             let vpn = rng.gen_range(1 << 20);
             if rng.chance(0.5) {
@@ -181,7 +181,7 @@ fn mshr_waiter_conservation() {
     for case in 0..CASES {
         let mut rng = SimRng::new(0x351 ^ case);
         let mut mshr: Mshr<usize> = Mshr::new(8);
-        let mut model: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut model: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for i in 0..rng.gen_index(100) {
             let vpn = rng.gen_range(16);
             match mshr.register(vpn, i) {
@@ -224,7 +224,7 @@ fn random_gpu_offline_schedules_retire_exactly_once() {
             "{name} has an unexpected pattern"
         );
     }
-    let patterns: HashSet<_> = reps
+    let patterns: BTreeSet<_> = reps
         .iter()
         .map(|n| format!("{:?}", workloads::app(n).unwrap().pattern))
         .collect();
