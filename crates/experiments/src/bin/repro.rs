@@ -1,16 +1,19 @@
-//! Full reproduction driver: regenerates every table and figure and writes
-//! the collected reports to a file (or stdout).
+//! Full reproduction driver: regenerates every table and figure of
+//! `experiments::figures::FIGURES` and writes the collected reports to a
+//! file (or stdout). Bad arguments, an unknown figure id included, exit 2
+//! with the usage and the valid ids.
 //!
 //! ```sh
-//! cargo run --release -p experiments --bin repro -- [--scale S] [--seeds N] [--out FILE] [--only figNN]
+//! cargo run --release -p experiments --bin repro -- [--scale S] [--seeds N] [--out FILE] [--only ID]
 //! ```
 
 use std::fmt::Write as _;
 
 use experiments::cli::{exit_usage, flag_value};
-use experiments::{Report, RunOpts};
+use experiments::figures::{figure, FIGURES};
+use experiments::RunOpts;
 
-const USAGE: &str = "usage: repro [--scale S] [--seeds N] [--out FILE] [--only figNN]";
+const USAGE: &str = "usage: repro [--scale S] [--seeds N] [--out FILE] [--only ID]";
 
 #[derive(Debug)]
 struct Args {
@@ -18,6 +21,15 @@ struct Args {
     seeds: u64,
     out: Option<String>,
     only: Option<String>,
+}
+
+/// The valid `--only` ids, space-separated.
+fn ids() -> String {
+    FIGURES
+        .iter()
+        .map(|(id, _)| *id)
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -43,48 +55,24 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             args.scale
         ));
     }
+    if args.seeds == 0 {
+        return Err("--seeds must be at least 1".into());
+    }
+    if let Some(only) = &args.only {
+        if figure(only).is_none() {
+            return Err(format!("unknown figure id \"{only}\""));
+        }
+    }
     Ok(args)
 }
 
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let args = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| exit_usage(&format!("{USAGE}\n  figure ids: {}", ids()), &e));
     let opts = RunOpts {
         scale: args.scale,
-        seeds: (1..=args.seeds.max(1)).collect(),
+        seeds: (1..=args.seeds).collect(),
     };
-
-    type Runner = fn(&RunOpts) -> Vec<Report>;
-    type BoxedRunner = Box<dyn Fn(&RunOpts) -> Vec<Report>>;
-    let single = |f: fn(&RunOpts) -> Report| move |o: &RunOpts| vec![f(o)];
-    let experiments_list: Vec<(&str, BoxedRunner)> = vec![
-        ("table3", Box::new(single(experiments::table3::run))),
-        ("fig02", Box::new(experiments::fig02::run as Runner)),
-        ("fig03", Box::new(single(experiments::fig03::run))),
-        ("fig04", Box::new(single(experiments::fig04::run))),
-        ("fig05_06", Box::new(experiments::fig05_06::run as Runner)),
-        ("fig07", Box::new(single(experiments::fig07::run))),
-        ("fig08", Box::new(single(experiments::fig08::run))),
-        ("fig11", Box::new(single(experiments::fig11::run))),
-        ("fig12", Box::new(single(experiments::fig12::run))),
-        ("fig13", Box::new(single(experiments::fig13::run))),
-        ("fig14", Box::new(single(experiments::fig14::run))),
-        ("fig15", Box::new(single(experiments::fig15::run))),
-        ("fig16", Box::new(single(experiments::fig16::run))),
-        ("fig17", Box::new(single(experiments::fig17::run))),
-        ("fig18", Box::new(single(experiments::fig18::run))),
-        ("fig19", Box::new(single(experiments::fig19::run))),
-        ("fig20", Box::new(single(experiments::fig20::run))),
-        ("fig21", Box::new(single(experiments::fig21::run))),
-        ("fig22", Box::new(single(experiments::fig22::run))),
-        ("fig23", Box::new(single(experiments::fig23::run))),
-        ("fig24", Box::new(single(experiments::fig24::run))),
-        ("fig25", Box::new(single(experiments::fig25::run))),
-        ("fig26", Box::new(single(experiments::fig26::run))),
-        ("fig27", Box::new(single(experiments::fig27::run))),
-        ("fig28", Box::new(single(experiments::fig28::run))),
-        ("fig29", Box::new(single(experiments::fig29::run))),
-        ("fig30", Box::new(single(experiments::fig30::run))),
-    ];
 
     let mut doc = String::new();
     let _ = writeln!(
@@ -93,16 +81,14 @@ fn main() {
         opts.scale,
         opts.seeds.len()
     );
-    for (name, runner) in &experiments_list {
-        if let Some(only) = &args.only {
-            if !name.starts_with(only.as_str()) {
-                continue;
-            }
+    for (name, run) in FIGURES {
+        if args.only.as_ref().is_some_and(|only| only != name) {
+            continue;
         }
         eprintln!("running {name}…");
         #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
         let t0 = std::time::Instant::now();
-        for report in runner(&opts) {
+        for report in run(&opts) {
             let _ = writeln!(doc, "```\n{report}```\n");
         }
         eprintln!("  {name} done in {:.1?}", t0.elapsed());
@@ -140,5 +126,22 @@ mod tests {
         );
         assert_eq!(parse("--seeds").unwrap_err(), "--seeds requires a value");
         assert!(parse("--scale -1").unwrap_err().contains("positive"));
+        assert_eq!(
+            parse("--seeds 0").unwrap_err(),
+            "--seeds must be at least 1"
+        );
+        // `--only` names one registry id exactly: no prefixes, no unknowns.
+        for id in ["fig1", "fig99", "fig06", "fig05"] {
+            assert_eq!(
+                parse(&format!("--only {id}")).unwrap_err(),
+                format!("unknown figure id \"{id}\"")
+            );
+        }
+        for (id, _) in FIGURES {
+            assert_eq!(
+                parse(&format!("--only {id}")).unwrap().only.as_deref(),
+                Some(*id)
+            );
+        }
     }
 }

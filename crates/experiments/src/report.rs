@@ -76,34 +76,6 @@ impl Report {
     pub fn mean(&self, column: usize) -> Option<f64> {
         self.value("mean", column)
     }
-
-    /// Renders the report as CSV (header row, then one line per row) for
-    /// plotting scripts.
-    ///
-    /// ```
-    /// use experiments::Report;
-    ///
-    /// let mut r = Report::new("t", &["speedup"]);
-    /// r.push("MT", vec![2.0]);
-    /// assert_eq!(r.to_csv(), "label,speedup\nMT,2\n");
-    /// ```
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("label");
-        for h in &self.headers {
-            out.push(',');
-            out.push_str(&h.replace(',', ";"));
-        }
-        out.push('\n');
-        for (label, values) in &self.rows {
-            out.push_str(&label.replace(',', ";"));
-            for v in values {
-                out.push(',');
-                out.push_str(&format!("{v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Report {
@@ -175,12 +147,5 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         Report::new("t", &["a", "b"]).push("x", vec![1.0]);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut r = Report::new("t", &["a,b"]);
-        r.push("x,y", vec![1.5]);
-        assert_eq!(r.to_csv(), "label,a;b\nx;y,1.5\n");
     }
 }

@@ -417,20 +417,6 @@ where
     })
 }
 
-/// Convenience: for each app, compute the speedup of `opt_cfg` over
-/// `base_cfg` (mean cycles over seeds), returning `(app, speedup)` rows.
-pub fn speedups(
-    base_cfg: &SystemConfig,
-    opt_cfg: &SystemConfig,
-    opts: &RunOpts,
-) -> Vec<(String, f64)> {
-    parallel_map(opts.apps(), |app| {
-        let (base, _) = average_cycles(base_cfg, &app, opts);
-        let (opt, _) = average_cycles(opt_cfg, &app, opts);
-        (app.name.clone(), base / opt)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,7 +56,6 @@ pub mod sanitize;
 pub mod system;
 #[cfg(test)]
 mod system_tests;
-pub mod trace;
 pub mod workload;
 
 pub use config::{

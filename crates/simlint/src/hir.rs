@@ -66,19 +66,6 @@ pub struct FnDef {
     pub is_pub: bool,
     /// Identifiers in the parameter list and return type.
     pub sig_idents: Vec<String>,
-    /// Names bound by the parameter list itself (idents at paren depth 1
-    /// directly followed by `:`) — the roots a shard-confined fn may key
-    /// per-GPU accesses off.
-    pub param_names: Vec<String>,
-    /// `let`/`for` bindings in the body: `(bound names, rhs idents)`.
-    /// RHS idents record field/method accesses with a leading `.` (so a
-    /// flow analysis can distinguish `self.reqs` the receiver from `reqs`
-    /// the root); path tails after `::` are dropped.
-    pub lets: Vec<(Vec<String>, Vec<String>)>,
-    /// Token range of the body between (exclusive of) its braces —
-    /// `(0, 0)` for bodyless trait fns. Indexes into the owning file's
-    /// token stream, for passes that need punctuation context.
-    pub body: (usize, usize),
     /// Every identifier in the body, with its line.
     pub body_idents: Vec<(String, usize)>,
     /// Names this fn calls — free calls `name(…)` and method calls
@@ -455,7 +442,6 @@ fn parse_fn(
         return end;
     }
     let mut sig_idents = Vec::new();
-    let mut param_names = Vec::new();
     let mut depth = 0i32;
     let params_end = {
         let mut j = i;
@@ -471,18 +457,7 @@ fn parse_fn(
                         break j;
                     }
                 }
-                TokKind::Ident(id) => {
-                    sig_idents.push(id.clone());
-                    // `name :` at depth 1 is a parameter binding (idents
-                    // inside types sit after the `:` or behind `::`).
-                    if depth == 1
-                        && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                        && !toks.get(j + 2).is_some_and(|t| t.is_punct(':'))
-                        && !toks[j - 1].is_punct(':')
-                    {
-                        param_names.push(id.clone());
-                    }
-                }
+                TokKind::Ident(id) => sig_idents.push(id.clone()),
                 _ => {}
             }
             j += 1;
@@ -502,9 +477,6 @@ fn parse_fn(
                     self_ty: self_ty.map(str::to_string),
                     is_pub,
                     sig_idents,
-                    param_names,
-                    lets: Vec::new(),
-                    body: (0, 0),
                     body_idents: Vec::new(),
                     callees: Vec::new(),
                     panics: Vec::new(),
@@ -541,110 +513,12 @@ fn parse_fn(
         self_ty: self_ty.map(str::to_string),
         is_pub,
         sig_idents,
-        param_names,
-        lets: collect_lets(toks, j + 1, close),
-        body: (j + 1, close),
         body_idents,
         callees,
         panics,
         in_test,
     });
     close + 1
-}
-
-/// Collects `let`/`for` bindings in a body token range.
-///
-/// For each binding the first vec holds the pattern's bound names
-/// (lowercase-initial idents before any `:` type annotation) and the second
-/// the initializer's identifiers up to the statement's end — with field and
-/// method accesses prefixed by `.` and `::` path tails dropped, so a flow
-/// pass can tell `self.gpus` the container from `gpus` a local root.
-/// Pattern structs (`let Req { gpu, .. } = r`) and closure parameters are
-/// deliberately not modeled; missing a binding only costs recall.
-fn collect_lets(toks: &[Tok], start: usize, end: usize) -> Vec<(Vec<String>, Vec<String>)> {
-    let mut lets = Vec::new();
-    let mut i = start;
-    while i < end {
-        let Some(word) = toks[i].ident() else {
-            i += 1;
-            continue;
-        };
-        let is_let = word == "let";
-        if !is_let && word != "for" {
-            i += 1;
-            continue;
-        }
-        // Pattern: bound names up to `=` (for `let`; not `==`/`=>`) or the
-        // `in` keyword (for `for`). A `;`/`{`/`}` first means there is no
-        // initializer to record — skip the binding.
-        let mut names = Vec::new();
-        let mut in_type = false;
-        let mut found = false;
-        let mut j = i + 1;
-        while j < end {
-            match &toks[j].kind {
-                TokKind::Punct('=')
-                    if is_let
-                        && !toks.get(j + 1).is_some_and(|t| t.is_punct('=') || t.is_punct('>')) =>
-                {
-                    found = true;
-                    break;
-                }
-                TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') => break,
-                TokKind::Punct(':')
-                    if !toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                        && !toks[j - 1].is_punct(':') =>
-                {
-                    in_type = true;
-                }
-                TokKind::Ident(id) if !is_let && id == "in" => {
-                    found = true;
-                    break;
-                }
-                TokKind::Ident(id) if !in_type => {
-                    let binds = id.chars().next().is_some_and(char::is_lowercase)
-                        && !matches!(id.as_str(), "mut" | "ref" | "box");
-                    if binds {
-                        names.push(id.clone());
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if !found || names.is_empty() {
-            i = j.max(i + 1);
-            continue;
-        }
-        // Initializer: idents to the `;` / block `{` / `else` at depth 0.
-        let mut rhs = Vec::new();
-        let mut depth = 0i32;
-        let mut k = j + 1;
-        while k < end {
-            match &toks[k].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                TokKind::Punct(';') | TokKind::Punct('{') if depth <= 0 => break,
-                TokKind::Ident(id) => {
-                    if id == "else" && depth <= 0 {
-                        break;
-                    }
-                    if toks[k - 1].is_punct(':') {
-                        // `path::tail` — the path root is already recorded.
-                    } else if toks[k - 1].is_punct('.') {
-                        rhs.push(format!(".{id}"));
-                    } else {
-                        rhs.push(id.clone());
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        lets.push((names, rhs));
-        i = k;
-    }
-    lets
 }
 
 /// Whether the fn at `kw` carries a `pub` visibility, scanning back over
@@ -807,64 +681,13 @@ mod tests {\n\
     }
 
     #[test]
-    fn param_names_bind_only_value_parameters() {
-        let src = "fn walk(&mut self, gpu: u16, vpn: u64, map: &DetMap<u64, Meta>) -> Option<u64> { probe(gpu, vpn) }\n";
-        let h = hir_of(src);
-        assert_eq!(h.fns[0].param_names, ["gpu", "vpn", "map"]);
-        // Type idents (DetMap, u64, Meta) never leak into param_names.
-        assert!(!h.fns[0].param_names.contains(&"u64".to_string()));
-    }
-
-    #[test]
-    fn lets_capture_bindings_and_dotted_rhs() {
-        let src = "\
-fn f(&mut self, g: u16) {\n\
-    let gi = g as usize;\n\
-    let occ: usize = self.gpus[gi].queue.len();\n\
-    for req in &self.inflight {\n\
-        touch(req);\n\
-    }\n\
-}\n";
-        let h = hir_of(src);
-        let lets = &h.fns[0].lets;
-        assert_eq!(lets.len(), 3);
-        assert_eq!(lets[0].0, ["gi"]);
-        assert!(lets[0].1.contains(&"g".to_string()));
-        // The type annotation `usize` binds nothing; dotted accesses keep
-        // their `.` so `self.gpus` is distinguishable from a root `gpus`.
-        assert_eq!(lets[1].0, ["occ"]);
-        assert!(lets[1].1.contains(&".gpus".to_string()));
-        assert!(lets[1].1.contains(&"gi".to_string()));
-        assert_eq!(lets[2].0, ["req"]);
-        assert!(lets[2].1.contains(&".inflight".to_string()));
-    }
-
-    #[test]
-    fn let_else_and_if_let_record_initializers() {
-        let src = "\
-fn f(&mut self, id: ReqId) {\n\
-    let Some(r) = self.reqs.get(id) else { return; };\n\
-    if let Some(w) = r.walker { use_it(w); }\n\
-}\n";
-        let h = hir_of(src);
-        let lets = &h.fns[0].lets;
-        assert_eq!(lets.len(), 2);
-        assert_eq!(lets[0].0, ["r"]);
-        assert!(lets[0].1.contains(&".reqs".to_string()));
-        assert!(lets[0].1.contains(&"id".to_string()));
-        // The `else` block's `return` must not bleed into the rhs.
-        assert!(!lets[0].1.contains(&"return".to_string()));
-        assert_eq!(lets[1].0, ["w"]);
-        assert!(lets[1].1.contains(&".walker".to_string()));
-    }
-
-    #[test]
     fn body_range_brackets_the_braces() {
         let src = "trait T { fn sig(&self) -> u64; fn done(&self) { fin(); } }\n";
         let h = hir_of(src);
-        assert_eq!(h.fns[0].body, (0, 0));
-        let (lo, hi) = h.fns[1].body;
-        assert!(lo < hi);
+        assert!(h.fns[0].body_idents.is_empty());
+        // Only the tokens between the body's braces count as its body.
+        let body: Vec<&str> = h.fns[1].body_idents.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(body, ["fin"]);
     }
 
     #[test]
