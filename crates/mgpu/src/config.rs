@@ -3,6 +3,10 @@
 use sim_core::{Cycle, FaultPlan};
 use transfw::TransFwConfig;
 
+/// The most GPUs a system can model: the replica, remote-map and
+/// page-sharing masks hold one bit per GPU in a `u64`.
+pub const MAX_GPUS: u16 = 64;
+
 /// Protocol-watchdog knobs: per-request deadlines with bounded retries, a
 /// final graceful degradation to the ordinary host-walk path, and an
 /// event-loop liveness check. The watchdogs arm only when a fault plan is
@@ -107,7 +111,7 @@ pub struct IdealKnobs {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
-    /// Number of GPUs (paper baseline: 4).
+    /// Number of GPUs (paper baseline: 4; at most [`MAX_GPUS`]).
     pub gpus: u16,
     /// Compute units per GPU (Table II: 64).
     pub cus_per_gpu: u16,
@@ -288,10 +292,11 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent geometry (zero counts, TLB geometry that does
-    /// not divide, unknown page size).
+    /// Panics on inconsistent geometry (zero counts, more than [`MAX_GPUS`]
+    /// GPUs, TLB geometry that does not divide, unknown page size).
     pub fn validate(&self) {
         assert!(self.gpus > 0, "need at least one GPU");
+        assert!(self.gpus <= MAX_GPUS, "at most {MAX_GPUS} GPUs");
         assert!(self.cus_per_gpu > 0, "need at least one CU");
         assert!(self.wavefronts_per_cu > 0, "need at least one wavefront");
         assert!(
@@ -584,6 +589,12 @@ mod tests {
     #[should_panic(expected = "page size")]
     fn bad_page_size_rejected() {
         SystemConfig::builder().page_size_bits(13).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 GPUs")]
+    fn too_many_gpus_rejected() {
+        SystemConfig::builder().gpus(MAX_GPUS + 1).build();
     }
 
     #[test]

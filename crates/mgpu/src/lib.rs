@@ -60,7 +60,7 @@ pub mod workload;
 
 pub use config::{
     FarFaultMode, IdealKnobs, PwcKind, SystemConfig, SystemConfigBuilder, TransFwKnobs,
-    WatchdogConfig,
+    WatchdogConfig, MAX_GPUS,
 };
 pub use metrics::{
     LatencyBreakdown, PlacementStats, RecoveryStats, ResilienceStats, RunMetrics, SharingProfile,

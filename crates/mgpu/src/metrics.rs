@@ -78,11 +78,24 @@ impl LatencyBreakdown {
     }
 }
 
+/// VPNs below this go through [`SharingProfile`]'s dense index; larger
+/// ones, outside any workload footprint, through an ordered map.
+const DENSE_VPNS: u64 = 1 << 24;
+
 /// Page-sharing bookkeeping for Figs. 7 and 24: which GPUs touched each
 /// page, and how many reads/writes each page received.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two profiles are equal when they hold the same per-page touches,
+/// whatever order the pages were first touched in.
+#[derive(Debug, Clone, Default)]
 pub struct SharingProfile {
-    pages: DetMap<u64, PageTouch>,
+    /// `index[vpn]` is 1 + the position of `vpn` in `pages`; 0 means
+    /// untouched. Workload VPNs are dense in `0..footprint_pages`.
+    index: Vec<u32>,
+    /// Touches of the indexed VPNs, in first-touch order.
+    pages: Vec<PageTouch>,
+    /// Touches of VPNs at or above [`DENSE_VPNS`].
+    sparse: DetMap<u64, PageTouch>,
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,7 +113,7 @@ impl SharingProfile {
 
     /// Records one access.
     pub fn record(&mut self, vpn: u64, gpu: u16, is_write: bool) {
-        let t = self.pages.entry(vpn).or_default();
+        let t = self.touch_mut(vpn);
         t.gpu_mask |= 1 << gpu;
         if is_write {
             t.writes += 1;
@@ -109,13 +122,40 @@ impl SharingProfile {
         }
     }
 
+    /// The touches of `vpn`, created empty on first touch.
+    fn touch_mut(&mut self, vpn: u64) -> &mut PageTouch {
+        if vpn >= DENSE_VPNS {
+            return self.sparse.entry(vpn).or_default();
+        }
+        let v = vpn as usize;
+        if v >= self.index.len() {
+            self.index.resize(v + 1, 0);
+        }
+        if self.index[v] == 0 {
+            self.pages.push(PageTouch::default());
+            // At most `DENSE_VPNS` pages are indexed, so this fits.
+            self.index[v] = self.pages.len() as u32;
+        }
+        &mut self.pages[self.index[v] as usize - 1]
+    }
+
+    /// The touches of an indexed `vpn`, if it was touched.
+    fn indexed(&self, vpn: usize) -> Option<&PageTouch> {
+        let pos = *self.index.get(vpn)?;
+        self.pages.get((pos as usize).checked_sub(1)?)
+    }
+
+    fn touches(&self) -> impl Iterator<Item = &PageTouch> {
+        self.pages.iter().chain(self.sparse.values())
+    }
+
     /// Fraction of all page accesses that went to pages shared by exactly
     /// `1, 2, 3, …, max_degree` GPUs (Fig. 7; the last bucket absorbs higher
     /// degrees).
     pub fn access_fraction_by_degree(&self, max_degree: usize) -> Vec<f64> {
         let mut by_degree = vec![0u64; max_degree + 1];
         let mut total = 0u64;
-        for t in self.pages.values() {
+        for t in self.touches() {
             let d = (t.gpu_mask.count_ones() as usize).min(max_degree);
             let acc = t.reads + t.writes;
             by_degree[d] += acc;
@@ -131,7 +171,7 @@ impl SharingProfile {
     pub fn shared_rw(&self) -> (u64, u64) {
         let mut reads = 0;
         let mut writes = 0;
-        for t in self.pages.values() {
+        for t in self.touches() {
             if t.gpu_mask.count_ones() >= 2 {
                 reads += t.reads;
                 writes += t.writes;
@@ -142,9 +182,19 @@ impl SharingProfile {
 
     /// Number of distinct pages touched.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.pages.len() + self.sparse.len()
     }
 }
+
+impl PartialEq for SharingProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages.len() == other.pages.len()
+            && self.sparse == other.sparse
+            && (0..self.index.len()).all(|vpn| self.indexed(vpn) == other.indexed(vpn))
+    }
+}
+
+impl Eq for SharingProfile {}
 
 /// Counters specific to the Trans-FW datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -438,6 +488,68 @@ mod tests {
         s.record(2, 1, true);
         s.record(2, 1, true);
         assert_eq!(s.shared_rw(), (1, 2));
+    }
+
+    #[test]
+    fn new_profile_is_empty() {
+        let s = SharingProfile::new();
+        assert_eq!(s.page_count(), 0);
+        assert_eq!(s.shared_rw(), (0, 0));
+        assert_eq!(s.access_fraction_by_degree(4), vec![0.0; 4]);
+        assert_eq!(s, SharingProfile::default());
+    }
+
+    #[test]
+    fn page_order_does_not_matter() {
+        // Same per-page accesses, pages first touched in opposite orders,
+        // with one page past the dense index.
+        let accesses = [
+            (3, 0, false),
+            (3, 1, true),
+            (9, 2, false),
+            (DENSE_VPNS + 5, 0, true),
+            (DENSE_VPNS + 5, 3, false),
+            (0, 1, true),
+            (9, 2, true),
+        ];
+        let mut fwd = SharingProfile::new();
+        let mut rev = SharingProfile::new();
+        for &(vpn, gpu, w) in &accesses {
+            fwd.record(vpn, gpu, w);
+        }
+        for vpn in [DENSE_VPNS + 5, 9, 3, 0] {
+            for &(v, gpu, w) in accesses.iter().filter(|a| a.0 == vpn) {
+                rev.record(v, gpu, w);
+            }
+        }
+        assert_ne!(fwd.pages, rev.pages, "first-touch orders differ");
+        assert_eq!(fwd, rev);
+        assert_eq!(
+            fwd.access_fraction_by_degree(4),
+            rev.access_fraction_by_degree(4)
+        );
+        assert_eq!(fwd.shared_rw(), rev.shared_rw());
+        assert_eq!(fwd.shared_rw(), (2, 2));
+        assert_eq!(fwd.page_count(), 4);
+        assert_eq!(rev.page_count(), 4);
+
+        rev.record(9, 3, false);
+        assert_ne!(fwd, rev, "one more touch on one page");
+    }
+
+    #[test]
+    fn higher_vpn_grows_the_index() {
+        let mut s = SharingProfile::new();
+        s.record(4, 0, false);
+        assert_eq!(s.index.len(), 5);
+        s.record(2, 1, false);
+        assert_eq!(s.index.len(), 5, "lower VPNs reuse the index");
+        s.record(1000, 1, true);
+        assert_eq!(s.index.len(), 1001);
+        assert_eq!(s.page_count(), 3);
+        assert_eq!(s.indexed(4).map(|t| t.reads), Some(1));
+        assert_eq!(s.indexed(1000).map(|t| t.writes), Some(1));
+        assert_eq!(s.indexed(3), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use mgpu::{FarFaultMode, PwcKind, SystemConfig, TransFwKnobs};
+use mgpu::{FarFaultMode, PwcKind, SystemConfig, TransFwKnobs, MAX_GPUS};
 use sim_core::fault::ComponentEvent;
 use sim_core::FaultPlan;
 use uvm::{EvictPolicy, PolicyKind};
@@ -319,6 +319,11 @@ fn system_section(cfg: &mut SystemConfig, items: &[Item]) -> Result<(), Error> {
         }
     };
     geom("gpus", cfg.gpus > 0, "need at least one GPU")?;
+    geom(
+        "gpus",
+        cfg.gpus <= MAX_GPUS,
+        &format!("at most {MAX_GPUS} GPUs: sharing masks are 64-bit"),
+    )?;
     geom("cus_per_gpu", cfg.cus_per_gpu > 0, "need at least one CU")?;
     geom(
         "wavefronts_per_cu",
@@ -1186,6 +1191,7 @@ mod tests {
     fn validation_mirrors_are_errors_not_panics() {
         let cases: &[(&str, &str)] = &[
             (r#"scenario "s" { workload = phase_shift system { gpus = 0 } }"#, "at least one GPU"),
+            (r#"scenario "s" { workload = phase_shift system { gpus = 65 } }"#, "at most 64 GPUs"),
             (
                 r#"scenario "s" { workload = phase_shift system { l2_tlb_entries = 100 } }"#,
                 "associativity",

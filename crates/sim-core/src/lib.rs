@@ -4,7 +4,7 @@
 //! component in the Trans-FW reproduction:
 //!
 //! * [`Cycle`] — simulation time, measured in GPU core cycles.
-//! * [`EventQueue`] — a stable (FIFO-on-tie) binary-heap event calendar.
+//! * [`EventQueue`] — a stable (FIFO-on-tie) calendar-queue event calendar.
 //! * [`SimRng`] — a small, fast, seedable PRNG (xoshiro256**) so every
 //!   simulation run is reproducible from a single `u64` seed.
 //! * [`stats`] — counters, mean accumulators and power-of-two histograms used

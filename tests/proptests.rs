@@ -3,7 +3,8 @@
 //! `proptest` crate is unavailable offline; these keep the same properties
 //! with seeded exploration over many generated cases).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use transfw_sim::cuckoo::CuckooFilter;
 use transfw_sim::mgpu::metrics::SharingProfile;
@@ -41,6 +42,63 @@ fn event_queue_is_a_stable_priority_queue() {
                 assert!(w[0].1 < w[1].1, "FIFO violated on tie");
             }
         }
+    }
+}
+
+/// The calendar queue matches a reference `(time, seq)` binary heap step
+/// for step: same-cycle bursts, gaps wider than its window, far-future
+/// events, pushes behind the last popped time and `clear` mid-stream.
+#[test]
+fn event_queue_matches_a_reference_heap() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(0xCA1E ^ case);
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for step in 0..2000 {
+            let roll = rng.gen_range(100);
+            let times: Vec<u64> = match roll {
+                // A same-cycle burst.
+                0..=9 => vec![now.saturating_add(rng.gen_range(4)); 1 + rng.gen_index(16)],
+                // Near, within the window.
+                10..=39 => vec![now.saturating_add(rng.gen_range(600))],
+                // Gaps wider than the window.
+                40..=49 => vec![now.saturating_add(1000 + rng.gen_range(5000))],
+                // Far future, up to `Cycle::MAX`.
+                50..=51 => vec![u64::MAX - rng.gen_range(3)],
+                52..=53 => vec![now.saturating_add((1 << 40) + rng.gen_range(1 << 20))],
+                // Behind the last popped time.
+                54..=58 => vec![now.saturating_sub(1 + rng.gen_range(3000))],
+                _ => Vec::new(),
+            };
+            if roll == 99 && rng.chance(0.2) {
+                q.clear();
+                model.clear();
+            } else if times.is_empty() {
+                let want = model.pop().map(|Reverse((t, _, id))| (t, id));
+                assert_eq!(q.pop(), want, "case {case} step {step}: pop");
+                if let Some((t, _)) = want {
+                    now = now.max(t);
+                }
+            }
+            for t in times {
+                q.push(t, seq);
+                model.push(Reverse((t, seq, seq)));
+                seq += 1;
+            }
+            assert_eq!(
+                q.peek_time(),
+                model.peek().map(|Reverse((t, _, _))| *t),
+                "case {case} step {step}: peek_time"
+            );
+            assert_eq!(q.len(), model.len(), "case {case} step {step}: len");
+            assert_eq!(q.is_empty(), model.is_empty());
+        }
+        while let Some(Reverse((t, _, id))) = model.pop() {
+            assert_eq!(q.pop(), Some((t, id)), "case {case}: drain");
+        }
+        assert_eq!(q.pop(), None);
     }
 }
 
