@@ -11,7 +11,7 @@ use mgpu::workload::Workload;
 use mgpu::{FarFaultMode, IdealKnobs, PwcKind, RunMetrics, SystemConfig, TransFwKnobs};
 use ptw::Asap;
 use transfw::TransFwConfig;
-use uvm::MigrationPolicy;
+use uvm::PolicyKind;
 
 use crate::runner::{average_cycles, parallel_map};
 use crate::{Report, RunOpts};
@@ -323,7 +323,7 @@ pub static FIGURES: &[(&str, Figure)] = &[
             o,
             "Fig. 23: Trans-FW speedup under read replication",
             SystemConfig::builder()
-                .policy(MigrationPolicy::ReadReplication)
+                .placement(PolicyKind::ReadDuplicate)
                 .build(),
         )
     }),
@@ -349,9 +349,7 @@ pub static FIGURES: &[(&str, Figure)] = &[
             o,
             "Fig. 25: Trans-FW speedup under remote mapping",
             SystemConfig::builder()
-                .policy(MigrationPolicy::RemoteMapping {
-                    migrate_threshold: 8,
-                })
+                .placement(PolicyKind::DelayedMigration { threshold: 8 })
                 .build(),
         )
     }),

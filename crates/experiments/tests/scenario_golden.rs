@@ -38,7 +38,7 @@ fn hand_built_policy_sweep() -> Vec<RunSpec> {
                 };
                 let mut cfg = SystemConfig::with_transfw();
                 cfg.seed = seed;
-                cfg.placement = Some(policy);
+                cfg.placement = policy;
                 specs.push(RunSpec::new(cfg, workload));
             }
         }
@@ -119,7 +119,7 @@ fn soak_system(
         .host_walkers(1)
         .seed(1)
         .transfw(Some(tables))
-        .placement(Some(PolicyKind::PrefetchNeighborhood { radius: 3 }))
+        .placement(PolicyKind::PrefetchNeighborhood { radius: 3 })
         .overload(overload)
         .oversub(oversub)
         .faults(faults)

@@ -172,14 +172,9 @@ pub struct SystemConfig {
     /// fetches every GPU's fault buffer each round, which is what makes the
     /// software path scale poorly as GPUs are added (Fig. 2a).
     pub driver_per_gpu_poll: sim_core::Cycle,
-    /// Page placement policy.
-    pub policy: uvm::MigrationPolicy,
-    /// Placement-policy engine override. `None` (the default) derives the
-    /// engine from the legacy `policy` selector, keeping old configurations
-    /// bit-identical; `Some(kind)` selects one of the four
-    /// [`uvm::PolicyKind`] policies directly (the only way to reach
-    /// `DelayedMigration` and `PrefetchNeighborhood` with their knobs).
-    pub placement: Option<uvm::PolicyKind>,
+    /// Page-placement policy (default first touch; §V-D/E evaluate
+    /// `ReadDuplicate` and `DelayedMigration`).
+    pub placement: uvm::PolicyKind,
     /// Trans-FW (None = baseline).
     pub transfw: Option<TransFwKnobs>,
     /// ASAP PW-cache prefetching in GMMU and host MMU (§V-H); the value is
@@ -250,8 +245,7 @@ impl Default for SystemConfig {
             fault_mode: FarFaultMode::HostMmu,
             driver: uvm::DriverConfig::default(),
             driver_per_gpu_poll: 600,
-            policy: uvm::MigrationPolicy::OnTouch,
-            placement: None,
+            placement: uvm::PolicyKind::FirstTouch,
             transfw: None,
             asap: None,
             ideal: IdealKnobs::default(),
@@ -353,11 +347,9 @@ impl SystemConfig {
         vpn_4k >> (self.page_size_bits - 12)
     }
 
-    /// The placement-policy kind the directory will run: the explicit
-    /// `placement` override when set, else the engine equivalent of the
-    /// legacy `policy` selector.
+    /// The placement-policy kind the directory will run.
     pub fn placement_kind(&self) -> uvm::PolicyKind {
-        self.placement.unwrap_or_else(|| self.policy.into())
+        self.placement
     }
 }
 
@@ -467,12 +459,8 @@ impl SystemConfigBuilder {
         driver: uvm::DriverConfig
     );
     setter!(
-        /// Placement policy.
-        policy: uvm::MigrationPolicy
-    );
-    setter!(
-        /// Placement-policy engine override (None derives from `policy`).
-        placement: Option<uvm::PolicyKind>
+        /// Page-placement policy.
+        placement: uvm::PolicyKind
     );
     setter!(
         /// Trans-FW knobs.
@@ -613,21 +601,14 @@ mod tests {
 
     #[test]
     fn placement_defaults_to_legacy_policy_equivalent() {
+        // First touch is the paper's on-touch migration (§V-E).
         let c = SystemConfig::default();
-        assert!(c.placement.is_none());
+        assert_eq!(c.placement, uvm::PolicyKind::FirstTouch);
         assert_eq!(c.placement_kind(), uvm::PolicyKind::FirstTouch);
         let c = SystemConfig::builder()
-            .policy(uvm::MigrationPolicy::ReadReplication)
+            .placement(uvm::PolicyKind::PrefetchNeighborhood { radius: 3 })
             .build();
-        assert_eq!(c.placement_kind(), uvm::PolicyKind::ReadDuplicate);
-        let c = SystemConfig::builder()
-            .placement(Some(uvm::PolicyKind::PrefetchNeighborhood { radius: 3 }))
-            .build();
-        assert_eq!(
-            c.placement_kind(),
-            uvm::PolicyKind::PrefetchNeighborhood { radius: 3 },
-            "explicit override wins over the legacy selector"
-        );
+        assert_eq!(c.placement_kind(), uvm::PolicyKind::PrefetchNeighborhood { radius: 3 });
     }
 
     #[test]

@@ -229,10 +229,7 @@ impl System {
         // The directory commits the policy decision and hands back the
         // ownership transaction; the memory-system mirror (shootdowns, host
         // view, PRT/FT) is applied atomically in `apply_ownership_txn`.
-        let txn = self
-            .dir
-            .begin_fault_txn(vpn, g, is_write)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let txn = self.dir.resolve_fault(vpn, g, is_write);
         self.apply_ownership_txn(&txn);
 
         let done_at = self.txn_transfer_done(&txn, now);

@@ -247,8 +247,9 @@ impl RemoteProbeStats {
 /// the run has no far faults).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementStats {
-    /// Ownership transactions applied to the memory system (every far-fault
-    /// resolution, collapse, promotion and prefetch flows through one).
+    /// Ownership transactions applied to the memory system: one per
+    /// far-fault resolution (collapses included), prefetched page and
+    /// access-counter promotion.
     pub transactions: u64,
     /// Cold pages pulled in by the prefetch policy alongside migrations.
     pub prefetched_pages: u64,

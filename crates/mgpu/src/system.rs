@@ -270,7 +270,7 @@ impl System {
                 cfg.peer_link_latency,
                 cfg.link_bytes_per_cycle,
             ),
-            dir: PageDirectory::with_policy(cfg.gpus, cfg.placement_kind()),
+            dir: PageDirectory::with_policy(cfg.gpus, cfg.placement),
             driver: UvmDriver::new(uvm::DriverConfig {
                 batch_overhead: cfg.driver.batch_overhead
                     + cfg.driver_per_gpu_poll * sim_core::Cycle::from(cfg.gpus),
@@ -1104,8 +1104,8 @@ impl System {
                 } else if self.oversub.shed_background(gpu, uvm::TrafficClass::Migration) {
                     // Thrash gate: pulling more pages into a thrashing GPU
                     // only deepens the collapse; the access stays remote.
-                } else if let Some(outcome) = self.dir.record_remote_access(vpn, gpu) {
-                    self.apply_background_migration(vpn, gpu, outcome);
+                } else if let Some(txn) = self.dir.record_remote_access(vpn, gpu) {
+                    self.apply_background_migration(&txn);
                 }
                 2 * self.cfg.peer_link_latency + self.cfg.dram_latency
             }
@@ -1113,53 +1113,32 @@ impl System {
     }
 
     /// Applies an off-critical-path migration decided by the access-counter
-    /// policy: page tables, TLB shootdowns and PRT/FT updates happen
-    /// immediately; the data transfer only occupies fabric bandwidth.
-    pub(crate) fn apply_background_migration(
-        &mut self,
-        vpn: u64,
-        to: GpuId,
-        outcome: uvm::FaultOutcome,
-    ) {
-        for v in &outcome.invalidations {
-            self.unmap_on_gpu(*v, vpn);
-        }
-        let now = self.now;
-        let mut done = now;
-        if let Location::Gpu(src) = outcome.source {
-            if src != to {
-                done = self.fabric.send_gpu_to_gpu(
-                    src as usize,
-                    to as usize,
-                    now,
-                    self.cfg.page_bytes(),
-                );
+    /// policy: the promotion commits through [`apply_ownership_txn`]
+    /// (shootdowns, host view, PRT/FT, eviction-engine mirror, sanitizer)
+    /// and the page is mapped on its new home immediately; the data transfer
+    /// only occupies fabric bandwidth.
+    ///
+    /// [`apply_ownership_txn`]: System::apply_ownership_txn
+    pub(crate) fn apply_background_migration(&mut self, txn: &uvm::OwnershipTransaction) {
+        self.apply_ownership_txn(txn);
+        let (vpn, to, now) = (txn.vpn, txn.dest, self.now);
+        self.map_on_gpu(to, vpn, Location::Gpu(to));
+        let done = match txn.source {
+            Location::Gpu(src) if src != to => {
+                self.fabric
+                    .send_gpu_to_gpu(src as usize, to as usize, now, self.cfg.page_bytes())
             }
-        }
+            _ => now,
+        };
         self.migration_log.record(sim_core::MigrationEvent {
             vpn,
-            src: outcome.source.gpu(),
+            src: txn.source.gpu(),
             dst: to,
             issued: now,
             completed: done,
             kind: sim_core::MigrationKind::Background,
         });
-        protocol::map_page(self, to, vpn, Location::Gpu(to));
-        protocol::migrate_home(self, vpn, outcome.source.gpu(), to);
-        if self.oversub.active() {
-            // Mirror the background move into the eviction engine and keep
-            // the destination under its capacity ceiling.
-            for &v in &outcome.invalidations {
-                self.evictor.note_evicted(v, vpn);
-            }
-            if let Some(s) = outcome.source.gpu() {
-                if s != to {
-                    self.evictor.note_evicted(s, vpn);
-                }
-            }
-            self.evictor.note_resident(to, vpn, now);
-            self.enforce_capacity(to);
-        }
+        self.enforce_capacity(to);
     }
 
     /// The pin set: every VPN with an outstanding translation request
@@ -1204,13 +1183,6 @@ impl System {
             protocol::capacity_evict(self, g, victim, &report);
             self.oversub.note_evicted(g, victim, self.now);
         }
-    }
-
-    /// Destroys GPU `g`'s local mapping of `vpn`: page table, PW-cache
-    /// levels backing it, L1/L2 TLB shootdowns and PRT update
-    /// (shared transition, see [`crate::protocol`]).
-    pub(crate) fn unmap_on_gpu(&mut self, g: GpuId, vpn: u64) {
-        protocol::unmap_page(self, g, vpn);
     }
 
     /// Creates GPU `g`'s local mapping of `vpn` pointing at `loc`

@@ -381,7 +381,7 @@ fn replicate_then_write_collapse_end_to_end() {
         }
     }
     let cfg = SystemConfig {
-        placement: Some(uvm::PolicyKind::ReadDuplicate),
+        placement: uvm::PolicyKind::ReadDuplicate,
         transfw: Some(TransFwKnobs::full()),
         ..SystemConfig::builder()
             .gpus(3)
@@ -407,7 +407,7 @@ fn prefetch_skips_vpns_already_pending_in_the_prt() {
     owners[9] = Some(0);
     let w = Scripted::new(16, 1, vec![Access::read(8, 5)]).with_owners(owners.clone());
     let cfg = SystemConfig {
-        placement: Some(uvm::PolicyKind::PrefetchNeighborhood { radius: 3 }),
+        placement: uvm::PolicyKind::PrefetchNeighborhood { radius: 3 },
         transfw: Some(TransFwKnobs::full()),
         ..tiny_cfg()
     };
@@ -420,7 +420,7 @@ fn prefetch_skips_vpns_already_pending_in_the_prt() {
     // destination) is skipped, the untouched source-homed 10..=15 move.
     let w = Scripted::new(16, 1, vec![Access::read(8, 5)]).with_owners(owners);
     let cfg = SystemConfig {
-        placement: Some(uvm::PolicyKind::PrefetchNeighborhood { radius: 3 }),
+        placement: uvm::PolicyKind::PrefetchNeighborhood { radius: 3 },
         ..tiny_cfg()
     };
     let m = System::new(cfg).run(&w).unwrap();
@@ -450,6 +450,64 @@ fn sanitized_run_is_bit_identical_and_clean() {
     .unwrap();
     assert_eq!(plain, sanitized, "sanitizer perturbed the run");
     assert!(plain.directory.migrations > 1, "workload was not contended");
+}
+
+#[test]
+fn access_counter_promotion_commits_as_a_transaction() {
+    // GPU 0 reads page 0, homed on GPU 1, under delayed migration with
+    // threshold 2: the far fault remote-maps, the second remote data access
+    // trips the access counter and promotes the page to GPU 0. Long after,
+    // GPU 1 reads the page again and must far-fault: the promotion shot
+    // its mapping down.
+    #[derive(Debug)]
+    struct Promote;
+    impl Workload for Promote {
+        fn name(&self) -> &str {
+            "promote"
+        }
+        fn footprint_pages(&self) -> u64 {
+            1
+        }
+        fn cta_count(&self) -> usize {
+            2
+        }
+        fn make_stream(&self, cta: usize, _seed: u64) -> Box<dyn AccessStream> {
+            if cta == 0 {
+                Box::new(vec![Access::read(0, 10); 4].into_iter())
+            } else {
+                Box::new(std::iter::once(Access::read(0, 50_000)))
+            }
+        }
+        fn initial_owner(&self, _vpn: u64, _gpus: u16) -> Option<u16> {
+            Some(1)
+        }
+        fn data_cache_hit_rate(&self) -> f64 {
+            0.0
+        }
+    }
+    let cfg = || SystemConfig {
+        placement: uvm::PolicyKind::DelayedMigration { threshold: 2 },
+        transfw: Some(TransFwKnobs::full()),
+        ..tiny_cfg()
+    };
+    let m = System::new(cfg()).run(&Promote).unwrap();
+    assert_eq!(m.directory.promotions, 1);
+    // Both translation requests far-fault to the host (GPU 1's PRT no
+    // longer lists the page) and remote-map it.
+    assert_eq!(m.translation_requests, 2);
+    assert_eq!(m.directory.remote_maps, 2, "GPU 1's mapping must be gone after the promotion");
+    assert_eq!(
+        m.placement.transactions,
+        m.translation_requests + m.directory.promotions,
+        "one transaction per far fault plus the promotion"
+    );
+    let sanitized = System::new(SystemConfig {
+        sanitize: true,
+        ..cfg()
+    })
+    .run(&Promote)
+    .unwrap();
+    assert_eq!(m, sanitized, "sanitizer perturbed the run");
 }
 
 #[test]

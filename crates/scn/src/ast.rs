@@ -92,7 +92,7 @@ pub enum ValueKind {
     Float(f64),
     /// A string literal.
     Str(String),
-    /// A bare identifier (`true`, `none`, `lru`, `legacy`, …).
+    /// A bare identifier (`true`, `none`, `lru`, `first_touch`, …).
     Ident(String),
     /// A call such as `app(name = "KM", scale = 0.1)`.
     Call {

@@ -225,15 +225,14 @@ fn print_oversub(o: &mut String, c: &SystemConfig) {
     o.push_str("  }\n");
 }
 
-fn placement_str(p: Option<PolicyKind>) -> String {
+fn placement_str(p: PolicyKind) -> String {
     match p {
-        None => "legacy".into(),
-        Some(PolicyKind::FirstTouch) => "first_touch".into(),
-        Some(PolicyKind::ReadDuplicate) => "read_duplicate".into(),
-        Some(PolicyKind::DelayedMigration { threshold }) => {
+        PolicyKind::FirstTouch => "first_touch".into(),
+        PolicyKind::ReadDuplicate => "read_duplicate".into(),
+        PolicyKind::DelayedMigration { threshold } => {
             format!("delayed_migration(threshold = {threshold})")
         }
-        Some(PolicyKind::PrefetchNeighborhood { radius }) => {
+        PolicyKind::PrefetchNeighborhood { radius } => {
             format!("prefetch_neighborhood(radius = {radius})")
         }
     }
@@ -387,6 +386,14 @@ mod tests {
         .unwrap();
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
+        // Omitting the placement axis and spelling out its default run the
+        // same cells, so they are the same scenario.
+        let d = compile_one(
+            r#"scenario "s" { seeds = 2 placement = first_touch workload = app(name = "KM") }"#,
+        )
+        .unwrap();
+        assert_eq!(a, d);
+        assert_eq!(a.digest(), d.digest());
         let c =
             compile_one(r#"scenario "s" { seeds = 3 workload = app(name = "KM") }"#).unwrap();
         assert_ne!(a.digest(), c.digest(), "a semantic edit must change identity");

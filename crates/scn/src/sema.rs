@@ -35,8 +35,8 @@ pub struct Scenario {
     pub seeds: Vec<u64>,
     /// Shared base configuration (placement/faults/seed normalised out).
     pub base: SystemConfig,
-    /// Placement axis; `None` means the legacy-policy default.
-    pub placements: Vec<Option<PolicyKind>>,
+    /// Placement axis (nonempty; `[first_touch]` when omitted).
+    pub placements: Vec<PolicyKind>,
     /// Workload axis (nonempty).
     pub workloads: Vec<WorkloadSpec>,
     /// Fault-plan axis.
@@ -68,7 +68,7 @@ impl Scenario {
                     cfg.faults = fault.clone();
                     let mut label = String::new();
                     if self.placements.len() > 1 {
-                        label.push_str(cfg.placement_kind().name());
+                        label.push_str(placement.name());
                         label.push('/');
                     }
                     label.push_str(&workload.label());
@@ -198,7 +198,7 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
             }
             ps
         }
-        None => vec![None],
+        None => vec![PolicyKind::FirstTouch],
     };
 
     let workloads = match by_key.get("workload") {
@@ -681,7 +681,7 @@ fn seeds_value(v: &Value) -> Result<Vec<u64>, Error> {
     }
 }
 
-fn placement_value(v: &Value) -> Result<Option<PolicyKind>, Error> {
+fn placement_value(v: &Value) -> Result<PolicyKind, Error> {
     let (name, args): (&str, &[Arg]) = match &v.kind {
         ValueKind::Ident(s) => (s, &[]),
         ValueKind::Call { name, args } => (name, args),
@@ -693,17 +693,13 @@ fn placement_value(v: &Value) -> Result<Option<PolicyKind>, Error> {
         }
     };
     match name {
-        "legacy" => {
-            no_args(name, args)?;
-            Ok(None)
-        }
         "first_touch" => {
             no_args(name, args)?;
-            Ok(Some(PolicyKind::FirstTouch))
+            Ok(PolicyKind::FirstTouch)
         }
         "read_duplicate" => {
             no_args(name, args)?;
-            Ok(Some(PolicyKind::ReadDuplicate))
+            Ok(PolicyKind::ReadDuplicate)
         }
         "delayed_migration" => {
             let m = bind_args(name, v.pos, args, &["threshold"])?;
@@ -711,12 +707,12 @@ fn placement_value(v: &Value) -> Result<Option<PolicyKind>, Error> {
             if threshold == 0 {
                 return Err(Error::at(v.pos, "migration threshold must be positive".into()));
             }
-            Ok(Some(PolicyKind::DelayedMigration { threshold }))
+            Ok(PolicyKind::DelayedMigration { threshold })
         }
         "prefetch_neighborhood" => {
             let m = bind_args(name, v.pos, args, &["radius"])?;
             let radius = want_u32(req(&m, name, v.pos, "radius")?)?;
-            Ok(Some(PolicyKind::PrefetchNeighborhood { radius }))
+            Ok(PolicyKind::PrefetchNeighborhood { radius })
         }
         other => Err(Error::at(
             v.pos,
@@ -1114,7 +1110,7 @@ mod tests {
         assert_eq!(sc.base.gpus, 4);
         assert_eq!(sc.base.seed, 0, "seed is normalised out of the base");
         assert!(sc.base.transfw.is_none());
-        assert_eq!(sc.placements, vec![None]);
+        assert_eq!(sc.placements, vec![PolicyKind::FirstTouch]);
         assert_eq!(
             sc.workloads,
             vec![WorkloadSpec::app("KM", 1.0).unwrap()]
@@ -1153,14 +1149,11 @@ mod tests {
         assert_eq!(sc.seeds, vec![1, 2]);
         assert_eq!(sc.base.transfw, Some(TransFwKnobs::full()));
         assert_eq!(sc.placements.len(), 4);
-        assert_eq!(
-            sc.placements[1],
-            Some(PolicyKind::DelayedMigration { threshold: 4 })
-        );
+        assert_eq!(sc.placements[1], PolicyKind::DelayedMigration { threshold: 4 });
         let cells = sc.cells();
         assert_eq!(cells.len(), 16);
         assert_eq!(cells[0].label, "first-touch/AES");
-        assert_eq!(cells[0].cfg.placement, Some(PolicyKind::FirstTouch));
+        assert_eq!(cells[0].cfg.placement, PolicyKind::FirstTouch);
         assert_eq!(cells[15].label, "prefetch-neighborhood/PhaseShift");
     }
 

@@ -12,24 +12,17 @@ use mgpu::protocol::model::{ModelConfig, ProtocolState};
 use simcheck::{check, CheckConfig, CheckOutcome};
 use uvm::PolicyKind;
 
-fn policy_by_name(name: &str) -> Option<PolicyKind> {
-    match name {
-        "first-touch" => Some(PolicyKind::FirstTouch),
-        "delayed-migration" => Some(PolicyKind::DelayedMigration { threshold: 2 }),
-        "read-duplicate" => Some(PolicyKind::ReadDuplicate),
-        "prefetch" => Some(PolicyKind::PrefetchNeighborhood { radius: 1 }),
-        // simlint::allow(protocol-exhaustive): scrutinee is a CLI string
-        _ => None,
-    }
-}
+/// The four policies of the small-scope certificate, at their small-scope
+/// knobs.
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::FirstTouch,
+    PolicyKind::DelayedMigration { threshold: 2 },
+    PolicyKind::ReadDuplicate,
+    PolicyKind::PrefetchNeighborhood { radius: 1 },
+];
 
-fn policy_name(p: PolicyKind) -> &'static str {
-    match p {
-        PolicyKind::FirstTouch => "first-touch",
-        PolicyKind::DelayedMigration { .. } => "delayed-migration",
-        PolicyKind::ReadDuplicate => "read-duplicate",
-        PolicyKind::PrefetchNeighborhood { .. } => "prefetch",
-    }
+fn policy_by_name(name: &str) -> Option<PolicyKind> {
+    POLICIES.into_iter().find(|p| p.name() == name)
 }
 
 struct Args {
@@ -82,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: simcheck [--gpus N] [--vpns N] [--inflight N] \
-                     [--policy first-touch|delayed-migration|read-duplicate|prefetch] \
+                     [--policy first-touch|delayed-migration|read-duplicate|prefetch-neighborhood] \
                      [--budget STATES] [--failure GPU] [--capacity PAGES]"
                 );
                 std::process::exit(0);
@@ -157,18 +150,13 @@ fn main() {
         if let Some(pages) = args.capacity {
             cfg = cfg.with_capacity(pages);
         }
-        ok &= run_one(policy_name(policy), &cfg, &check_cfg);
+        ok &= run_one(policy.name(), &cfg, &check_cfg);
     } else {
         // The standard certificate: all four policies, then the failure
         // dimension (one in-flight request per GPU keeps it tractable).
-        for policy in [
-            PolicyKind::FirstTouch,
-            PolicyKind::DelayedMigration { threshold: 2 },
-            PolicyKind::ReadDuplicate,
-            PolicyKind::PrefetchNeighborhood { radius: 1 },
-        ] {
+        for policy in POLICIES {
             let cfg = ModelConfig::small(args.gpus, args.vpns, args.inflight, policy);
-            ok &= run_one(policy_name(policy), &cfg, &check_cfg);
+            ok &= run_one(policy.name(), &cfg, &check_cfg);
         }
         let failure = ModelConfig::small(args.gpus, args.vpns, 1, PolicyKind::FirstTouch)
             .with_failure(args.failure.unwrap_or(0));

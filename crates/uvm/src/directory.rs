@@ -4,27 +4,7 @@ use ptw::{GpuId, Location};
 use sim_core::det::{DetMap, DetSet};
 use sim_core::SimError;
 
-use crate::policy::{OwnershipTransaction, PlacementPolicy, PolicyDecision, PolicyKind, TxnKind};
-
-/// Page-placement policy (§V-D/E evaluate the last two).
-///
-/// This is the legacy selector kept for configuration back-compat; it maps
-/// 1:1 onto the [`PolicyKind`] engine (see `crate::policy`), which adds
-/// prefetching and fault-count-delayed migration on top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPolicy {
-    /// First touch migrates the page into the faulting GPU (default).
-    OnTouch,
-    /// Read faults replicate the page; a write invalidates every replica
-    /// (ESI coherence, §V-D).
-    ReadReplication,
-    /// A far fault maps the page in place; after `migrate_threshold`
-    /// remote accesses the page migrates for real (§V-E).
-    RemoteMapping {
-        /// Remote accesses before the page is promoted to a migration.
-        migrate_threshold: u32,
-    },
-}
+use crate::policy::{OwnershipTransaction, PolicyDecision, PolicyKind, TxnKind};
 
 /// Authoritative placement state of one page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,31 +49,6 @@ impl PageState {
         }
         v
     }
-}
-
-/// What the fault handler decided to do; the simulator turns this into page
-/// transfers, page-table updates, TLB shootdowns and PRT/FT maintenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultOutcome {
-    /// The decided action.
-    pub action: FaultAction,
-    /// Where the data is fetched from.
-    pub source: Location,
-    /// GPUs whose local PTE and TLB entries for this page must be shot down.
-    pub invalidations: Vec<GpuId>,
-}
-
-/// The kind of resolution applied to a far fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Page moved into the faulting GPU's memory.
-    Migrate,
-    /// A read replica was created on the faulting GPU.
-    Replicate,
-    /// A PTE pointing at remote memory was created; no data moved.
-    RemoteMap,
-    /// The page was already resident (e.g. a racing fault resolved it).
-    AlreadyResident,
 }
 
 /// What [`PageDirectory::evict_gpu`] did, so the memory system can mirror
@@ -150,55 +105,31 @@ pub struct DirectoryStats {
 /// The centralised page table the UVM driver / host MMU consults: it always
 /// knows where every page's valid copies live (§II-A).
 ///
-/// Placement decisions are delegated to a [`PlacementPolicy`] built from the
-/// configured [`PolicyKind`]; every ownership change is reported as an
-/// [`OwnershipTransaction`] the memory system mirrors atomically.
+/// Placement decisions come from the configured [`PolicyKind`]; every
+/// ownership change is reported as an [`OwnershipTransaction`] the memory
+/// system mirrors atomically.
 ///
 /// # Examples
 ///
 /// ```
-/// use uvm::{PageDirectory, MigrationPolicy};
+/// use uvm::{PageDirectory, PolicyKind, TxnKind};
 /// use ptw::Location;
 ///
-/// let mut dir = PageDirectory::new(4, MigrationPolicy::OnTouch);
-/// let out = dir.resolve_fault(42, 1, false);
-/// assert_eq!(out.source, Location::Cpu); // first touch fetches from host
+/// let mut dir = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
+/// let txn = dir.resolve_fault(42, 1, false);
+/// assert_eq!(txn.kind, TxnKind::Migrate);
+/// assert_eq!(txn.source, Location::Cpu); // first touch fetches from host
 /// assert_eq!(dir.home(42), Location::Gpu(1));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PageDirectory {
     gpu_count: u16,
     kind: PolicyKind,
-    engine: Box<dyn PlacementPolicy>,
     pages: DetMap<u64, PageState>,
     stats: DirectoryStats,
 }
 
-impl Clone for PageDirectory {
-    fn clone(&self) -> Self {
-        // Policies are stateless (all state lives in `PageState`), so a
-        // rebuilt box is a faithful clone.
-        Self {
-            gpu_count: self.gpu_count,
-            kind: self.kind,
-            engine: self.kind.build(),
-            pages: self.pages.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
 impl PageDirectory {
-    /// Creates a directory for a system of `gpu_count` GPUs under a legacy
-    /// policy selector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu_count` is zero or exceeds 64.
-    pub fn new(gpu_count: u16, policy: MigrationPolicy) -> Self {
-        Self::with_policy(gpu_count, policy.into())
-    }
-
     /// Creates a directory driven by the given placement-policy kind.
     ///
     /// # Panics
@@ -209,20 +140,9 @@ impl PageDirectory {
         Self {
             gpu_count,
             kind,
-            engine: kind.build(),
             pages: DetMap::new(),
             stats: DirectoryStats::default(),
         }
-    }
-
-    /// The configured policy, in the legacy selector's terms.
-    pub fn policy(&self) -> MigrationPolicy {
-        self.kind.into()
-    }
-
-    /// The configured placement-policy kind.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.kind
     }
 
     /// Placement statistics so far.
@@ -261,18 +181,18 @@ impl PageDirectory {
         page.remote_maps |= 1 << gpu;
     }
 
-    /// Resolves a far fault raised by `gpu` on `vpn`.
-    ///
-    /// Mutates the authoritative state and returns the actions the memory
-    /// system must carry out.
+    /// Resolves a far fault raised by `gpu` on `vpn` and returns the
+    /// [`OwnershipTransaction`] the memory system must mirror (directory
+    /// state is already updated — the transaction is the directive half of
+    /// the atomic change).
     ///
     /// # Panics
     ///
     /// Panics if `gpu` is out of range. Event-driven callers that may see
     /// corrupted fault descriptors should use
-    /// [`try_resolve_fault`](Self::try_resolve_fault) instead.
-    pub fn resolve_fault(&mut self, vpn: u64, gpu: GpuId, is_write: bool) -> FaultOutcome {
-        self.try_resolve_fault(vpn, gpu, is_write)
+    /// [`begin_fault_txn`](Self::begin_fault_txn) instead.
+    pub fn resolve_fault(&mut self, vpn: u64, gpu: GpuId, is_write: bool) -> OwnershipTransaction {
+        self.begin_fault_txn(vpn, gpu, is_write)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -280,22 +200,6 @@ impl PageDirectory {
     /// out-of-range `gpu` (a corrupted or misrouted fault descriptor)
     /// becomes a [`SimError::Protocol`] instead of a panic, and the
     /// directory state is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Protocol`] when `gpu >= gpu_count`.
-    pub fn try_resolve_fault(
-        &mut self,
-        vpn: u64,
-        gpu: GpuId,
-        is_write: bool,
-    ) -> Result<FaultOutcome, SimError> {
-        self.begin_fault_txn(vpn, gpu, is_write).map(|t| t.outcome())
-    }
-
-    /// Resolves a far fault and returns the full [`OwnershipTransaction`]
-    /// the memory system must mirror (directory state is already updated —
-    /// the transaction is the directive half of the atomic change).
     ///
     /// # Errors
     ///
@@ -334,7 +238,7 @@ impl PageDirectory {
         if let Some(c) = page.fault_counts.get_mut(gpu as usize) {
             *c += 1;
         }
-        let decision = self.engine.on_fault(page, gpu, is_write);
+        let decision = self.kind.on_fault(page, gpu, is_write);
         let stats = &mut self.stats;
 
         Ok(match decision {
@@ -482,27 +386,18 @@ impl PageDirectory {
     /// VPNs the configured policy wants prefetched around `vpn` (ascending;
     /// empty for non-prefetching policies).
     pub fn prefetch_neighborhood(&self, vpn: u64) -> Vec<u64> {
-        self.engine.prefetch_neighborhood(vpn)
+        self.kind.prefetch_neighborhood(vpn)
     }
 
     /// Records one access through a remote mapping; when the access counter
     /// crosses the policy threshold the page is promoted to a migration and
-    /// the returned outcome lists the mappings to invalidate.
+    /// the returned transaction (kind [`TxnKind::Migrate`]) lists the
+    /// mappings to invalidate.
     ///
     /// Returns `None` while the page stays put, or under policies that do
     /// not count remote accesses.
-    pub fn record_remote_access(&mut self, vpn: u64, gpu: GpuId) -> Option<FaultOutcome> {
-        self.record_remote_access_txn(vpn, gpu).map(|t| t.outcome())
-    }
-
-    /// Transactional variant of
-    /// [`record_remote_access`](Self::record_remote_access).
-    pub fn record_remote_access_txn(
-        &mut self,
-        vpn: u64,
-        gpu: GpuId,
-    ) -> Option<OwnershipTransaction> {
-        let migrate_threshold = self.engine.remote_access_threshold()?;
+    pub fn record_remote_access(&mut self, vpn: u64, gpu: GpuId) -> Option<OwnershipTransaction> {
+        let migrate_threshold = self.kind.remote_access_threshold()?;
         // An out-of-range GPU (corrupted descriptor) has no counter slot and
         // can never be promoted; ignore it rather than index out of bounds.
         if gpu >= self.gpu_count {
@@ -704,10 +599,28 @@ impl PageDirectory {
         vpns
     }
 
-    /// A 64-bit order-independent-input digest of the directory contents
-    /// (VPNs visited in sorted order), for epoch checkpoints.
+    /// A 64-bit order-independent-input digest of the directory: its
+    /// geometry, policy and counters, then the contents (VPNs visited in
+    /// sorted order), for epoch checkpoints.
     pub fn state_digest(&self) -> u64 {
         let mut digest = sim_core::checkpoint::StateDigest::new();
+        let (policy, knob) = match self.kind {
+            PolicyKind::FirstTouch => (0, 0),
+            PolicyKind::DelayedMigration { threshold } => (1, threshold),
+            PolicyKind::ReadDuplicate => (2, 0),
+            PolicyKind::PrefetchNeighborhood { radius } => (3, radius),
+        };
+        let s = &self.stats;
+        digest
+            .mix(u64::from(self.gpu_count))
+            .mix(policy)
+            .mix(u64::from(knob))
+            .mix(s.migrations)
+            .mix(s.replications)
+            .mix(s.write_invalidations)
+            .mix(s.remote_maps)
+            .mix(s.promotions)
+            .mix(s.prefetches);
         // DetMap iterates in ascending VPN order, so the digest input order
         // is already canonical.
         for (&vpn, page) in &self.pages {
@@ -787,22 +700,22 @@ mod tests {
 
     #[test]
     fn on_touch_first_fault_migrates_from_cpu() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         let out = d.resolve_fault(10, 2, false);
-        assert_eq!(out.action, FaultAction::Migrate);
+        assert_eq!(out.kind, TxnKind::Migrate);
         assert_eq!(out.source, Location::Cpu);
-        assert!(out.invalidations.is_empty());
+        assert!(out.invalidate.is_empty());
         assert_eq!(d.home(10), Location::Gpu(2));
         assert!(d.is_resident(10, 2));
     }
 
     #[test]
     fn on_touch_second_gpu_steals_page() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(10, 0, false);
         let out = d.resolve_fault(10, 1, false);
         assert_eq!(out.source, Location::Gpu(0));
-        assert_eq!(out.invalidations, vec![0]);
+        assert_eq!(out.invalidate, vec![0]);
         assert_eq!(d.home(10), Location::Gpu(1));
         assert!(!d.is_resident(10, 0));
         assert_eq!(d.stats().migrations, 2);
@@ -810,19 +723,19 @@ mod tests {
 
     #[test]
     fn already_resident_fault_is_noop() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(10, 0, false);
         let out = d.resolve_fault(10, 0, true);
-        assert_eq!(out.action, FaultAction::AlreadyResident);
+        assert_eq!(out.kind, TxnKind::AlreadyResident);
         assert_eq!(d.stats().migrations, 1);
     }
 
     #[test]
     fn replication_reads_share() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false); // first touch migrates
         let out = d.resolve_fault(5, 1, false);
-        assert_eq!(out.action, FaultAction::Replicate);
+        assert_eq!(out.kind, TxnKind::Replicate);
         assert_eq!(out.source, Location::Gpu(0));
         assert!(d.is_resident(5, 0));
         assert!(d.is_resident(5, 1));
@@ -831,13 +744,13 @@ mod tests {
 
     #[test]
     fn replication_write_invalidates_all_replicas() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 1, false);
         d.resolve_fault(5, 2, false);
         let out = d.resolve_fault(5, 3, true);
-        assert_eq!(out.action, FaultAction::Migrate);
-        let mut inv = out.invalidations.clone();
+        assert_eq!(out.kind, TxnKind::Collapse);
+        let mut inv = out.invalidate.clone();
         inv.sort_unstable();
         assert_eq!(inv, vec![0, 1, 2]);
         assert_eq!(d.home(5), Location::Gpu(3));
@@ -847,22 +760,22 @@ mod tests {
 
     #[test]
     fn replication_writer_holding_replica_upgrades() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 1, false); // replica on 1
         let out = d.resolve_fault(5, 1, true); // 1 writes its replica
-        assert_eq!(out.action, FaultAction::Migrate);
+        assert_eq!(out.kind, TxnKind::Collapse);
         assert_eq!(out.source, Location::Gpu(1), "data already local");
-        assert_eq!(out.invalidations, vec![0]);
+        assert_eq!(out.invalidate, vec![0]);
         assert_eq!(d.home(5), Location::Gpu(1));
     }
 
     #[test]
     fn remote_mapping_maps_without_moving() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::RemoteMapping { migrate_threshold: 3 });
+        let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 3 });
         d.resolve_fault(5, 0, false); // first touch migrates from CPU
         let out = d.resolve_fault(5, 1, false);
-        assert_eq!(out.action, FaultAction::RemoteMap);
+        assert_eq!(out.kind, TxnKind::RemoteMap);
         assert_eq!(out.source, Location::Gpu(0));
         assert_eq!(d.home(5), Location::Gpu(0), "page did not move");
         assert_eq!(d.stats().remote_maps, 1);
@@ -870,29 +783,29 @@ mod tests {
 
     #[test]
     fn remote_mapping_promotes_after_threshold() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::RemoteMapping { migrate_threshold: 3 });
+        let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 3 });
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 1, false);
         assert!(d.record_remote_access(5, 1).is_none());
         assert!(d.record_remote_access(5, 1).is_none());
         let out = d.record_remote_access(5, 1).expect("third access promotes");
-        assert_eq!(out.action, FaultAction::Migrate);
+        assert_eq!(out.kind, TxnKind::Migrate);
         assert_eq!(out.source, Location::Gpu(0));
-        assert_eq!(out.invalidations, vec![0]);
+        assert_eq!(out.invalidate, vec![0]);
         assert_eq!(d.home(5), Location::Gpu(1));
         assert_eq!(d.stats().promotions, 1);
     }
 
     #[test]
     fn remote_access_on_home_gpu_is_ignored() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::RemoteMapping { migrate_threshold: 1 });
+        let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 1 });
         d.resolve_fault(5, 0, false);
         assert!(d.record_remote_access(5, 0).is_none());
     }
 
     #[test]
     fn record_remote_access_noop_under_on_touch() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(5, 0, false);
         assert!(d.record_remote_access(5, 1).is_none());
         assert!(d.page(5).unwrap().access_counts.iter().all(|&c| c == 0));
@@ -900,7 +813,7 @@ mod tests {
 
     #[test]
     fn holders_lists_home_and_replicas() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 2, false);
         let holders = d.page(5).unwrap().holders();
@@ -910,13 +823,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn fault_from_unknown_gpu_panics() {
-        PageDirectory::new(2, MigrationPolicy::OnTouch).resolve_fault(0, 5, false);
+        PageDirectory::with_policy(2, PolicyKind::FirstTouch).resolve_fault(0, 5, false);
     }
 
     #[test]
     fn try_resolve_rejects_unknown_gpu_without_mutating() {
-        let mut d = PageDirectory::new(2, MigrationPolicy::OnTouch);
-        let err = d.try_resolve_fault(0, 5, false).unwrap_err();
+        let mut d = PageDirectory::with_policy(2, PolicyKind::FirstTouch);
+        let err = d.begin_fault_txn(0, 5, false).unwrap_err();
         assert!(matches!(err, SimError::Protocol { .. }), "{err}");
         assert!(d.page(0).is_none(), "rejected fault must not create state");
         assert_eq!(d.stats().migrations, 0);
@@ -924,7 +837,7 @@ mod tests {
 
     #[test]
     fn remote_access_from_unknown_gpu_is_ignored() {
-        let mut d = PageDirectory::new(2, MigrationPolicy::RemoteMapping { migrate_threshold: 1 });
+        let mut d = PageDirectory::with_policy(2, PolicyKind::DelayedMigration { threshold: 1 });
         d.resolve_fault(5, 0, false);
         assert!(d.record_remote_access(5, 9).is_none());
         assert_eq!(d.stats().promotions, 0);
@@ -932,7 +845,7 @@ mod tests {
 
     #[test]
     fn audit_accepts_consistent_state() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 1, false);
         d.resolve_fault(9, 2, true);
@@ -941,7 +854,7 @@ mod tests {
 
     #[test]
     fn audit_flags_corrupted_state() {
-        let mut d = PageDirectory::new(2, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(2, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         // Corrupt the directory the way a dropped invalidation would:
         // a replica bit for a GPU that does not exist.
@@ -953,7 +866,7 @@ mod tests {
 
     #[test]
     fn evict_gpu_promotes_replica_to_home() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false); // home on 0
         d.resolve_fault(5, 1, false); // replica on 1
         d.resolve_fault(5, 3, false); // replica on 3
@@ -968,7 +881,7 @@ mod tests {
 
     #[test]
     fn evict_gpu_without_replicas_falls_back_to_cpu() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(7, 2, false);
         d.resolve_fault(9, 2, false);
         d.resolve_fault(11, 0, false);
@@ -981,7 +894,7 @@ mod tests {
 
     #[test]
     fn evict_gpu_drops_replicas_and_remote_maps() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 1, false); // replica on 1
         d.add_remote_map(6, 1);
@@ -995,7 +908,7 @@ mod tests {
 
     #[test]
     fn evict_gpu_invalidates_survivors_remote_maps() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::RemoteMapping { migrate_threshold: 8 });
+        let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 8 });
         d.resolve_fault(5, 2, false); // home on 2
         d.resolve_fault(5, 1, false); // remote map on 1 -> 2's memory
         d.resolve_fault(5, 3, false); // remote map on 3 -> 2's memory
@@ -1009,7 +922,7 @@ mod tests {
     #[test]
     fn evict_gpu_is_deterministic_and_idempotent() {
         let build = || {
-            let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+            let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
             for vpn in [12, 3, 99, 45, 7] {
                 d.resolve_fault(vpn, 1, false);
                 d.resolve_fault(vpn, 2, false);
@@ -1027,7 +940,7 @@ mod tests {
 
     #[test]
     fn evict_gpu_pinned_defers_pinned_pages() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(7, 2, false);
         d.resolve_fault(9, 2, false);
         d.resolve_fault(11, 0, false);
@@ -1048,7 +961,7 @@ mod tests {
 
     #[test]
     fn evict_page_drops_a_single_replica() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false); // home on 0
         d.resolve_fault(5, 1, false); // replica on 1
         let report = d.evict_page(5, 1).expect("replica held");
@@ -1062,7 +975,7 @@ mod tests {
 
     #[test]
     fn evict_page_promotes_replica_and_invalidates_danglers() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false); // home on 0
         d.resolve_fault(5, 2, false); // replica on 2
         d.add_remote_map(5, 3); // a Trans-FW supply registered on 3
@@ -1077,7 +990,7 @@ mod tests {
     #[test]
     fn evict_page_matches_evict_gpu_per_page_effects() {
         let build = || {
-            let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+            let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
             d.resolve_fault(3, 1, false);
             d.resolve_fault(3, 2, false);
             d.resolve_fault(8, 1, false);
@@ -1102,14 +1015,14 @@ mod tests {
 
     #[test]
     fn evict_page_on_untouched_page_is_none() {
-        let mut d = PageDirectory::new(2, MigrationPolicy::OnTouch);
+        let mut d = PageDirectory::with_policy(2, PolicyKind::FirstTouch);
         assert!(d.evict_page(5, 0).is_none());
         assert_eq!(d.stats().migrations, 0);
     }
 
     #[test]
     fn resident_vpns_on_lists_home_and_replicas_sorted() {
-        let mut d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(20, 0, false);
         d.resolve_fault(4, 1, false);
         d.resolve_fault(4, 0, false); // replica on 0
@@ -1120,8 +1033,20 @@ mod tests {
     }
 
     #[test]
+    fn state_digest_covers_geometry_policy_and_counters() {
+        let a = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 2 });
+        let knob = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 3 });
+        let gpus = PageDirectory::with_policy(8, PolicyKind::DelayedMigration { threshold: 2 });
+        let mut counted = a.clone();
+        counted.stats.promotions = 1;
+        for other in [&knob, &gpus, &counted] {
+            assert_ne!(a.state_digest(), other.state_digest());
+        }
+    }
+
+    #[test]
     fn audit_flags_home_listed_as_replica() {
-        let mut d = PageDirectory::new(2, MigrationPolicy::ReadReplication);
+        let mut d = PageDirectory::with_policy(2, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
         d.pages.get_mut(&5).unwrap().replicas = 1 << 0;
         let err = d.audit().unwrap_err();
@@ -1131,23 +1056,14 @@ mod tests {
     // ----- policy-engine behaviour -------------------------------------
 
     #[test]
-    fn legacy_constructor_reports_equivalent_kinds() {
-        let d = PageDirectory::new(4, MigrationPolicy::ReadReplication);
-        assert_eq!(d.policy_kind(), PolicyKind::ReadDuplicate);
-        assert_eq!(d.policy(), MigrationPolicy::ReadReplication);
-        let d = PageDirectory::with_policy(4, PolicyKind::PrefetchNeighborhood { radius: 2 });
-        assert_eq!(d.policy(), MigrationPolicy::OnTouch, "closest legacy view");
-    }
-
-    #[test]
     fn delayed_migration_migrates_on_nth_fault() {
         let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 2 });
         d.resolve_fault(5, 0, false); // cold: migrate to 0
-        let t = d.begin_fault_txn(5, 1, false).unwrap();
+        let t = d.resolve_fault(5, 1, false);
         assert_eq!(t.kind, TxnKind::RemoteMap, "first far fault maps in place");
         // The remote map created a PTE; a second *fault* means it was lost
         // (e.g. shot down) — the second fault crosses the threshold.
-        let t = d.begin_fault_txn(5, 1, false).unwrap();
+        let t = d.resolve_fault(5, 1, false);
         assert_eq!(t.kind, TxnKind::Migrate);
         assert_eq!(t.source, Location::Gpu(0));
         assert_eq!(d.home(5), Location::Gpu(1));
@@ -1161,7 +1077,7 @@ mod tests {
         d.resolve_fault(5, 0, false); // home on 0
         d.resolve_fault(5, 1, false); // replica on 1
         d.resolve_fault(5, 2, false); // replica on 2
-        let t = d.begin_fault_txn(5, 2, true).unwrap(); // holder 2 writes
+        let t = d.resolve_fault(5, 2, true); // holder 2 writes
         assert_eq!(t.kind, TxnKind::Collapse);
         assert_eq!(t.source, Location::Gpu(2), "writer already holds the data");
         assert_eq!(t.invalidate, vec![0, 1]);
@@ -1177,7 +1093,7 @@ mod tests {
         let mut d = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false); // home on 0
         d.resolve_fault(5, 1, false); // replica on 1
-        let t = d.begin_fault_txn(5, 3, true).unwrap(); // outsider writes
+        let t = d.resolve_fault(5, 3, true); // outsider writes
         assert_eq!(t.kind, TxnKind::Collapse);
         assert_eq!(t.source, Location::Gpu(0));
         assert_eq!(t.invalidate, vec![0, 1]);
@@ -1255,8 +1171,7 @@ mod tests {
         d.resolve_fault(5, 0, false);
         d.resolve_fault(5, 1, false); // fault_counts[1] = 1
         let mut c = d.clone();
-        assert_eq!(c.policy_kind(), d.policy_kind());
-        let t = c.begin_fault_txn(5, 1, false).unwrap();
+        let t = c.resolve_fault(5, 1, false);
         assert_eq!(t.kind, TxnKind::Migrate, "clone kept the heat counters");
     }
 
@@ -1264,13 +1179,13 @@ mod tests {
     fn first_touch_txn_matches_legacy_outcome_shape() {
         let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(10, 0, false);
-        let t = d.begin_fault_txn(10, 1, false).unwrap();
+        let t = d.resolve_fault(10, 1, false);
         assert_eq!(t.kind, TxnKind::Migrate);
         assert_eq!(t.source, Location::Gpu(0));
         assert_eq!(t.invalidate, vec![0]);
         assert!(t.ft_remove.is_empty(), "first touch never touches FT owner keys");
         assert!(t.moves_data() && t.moves_home());
-        let again = d.begin_fault_txn(10, 1, true).unwrap();
+        let again = d.resolve_fault(10, 1, true);
         assert_eq!(again.kind, TxnKind::AlreadyResident);
         assert!(!again.moves_data());
     }

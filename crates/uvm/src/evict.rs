@@ -228,7 +228,7 @@ impl EvictionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::MigrationPolicy;
+    use crate::policy::PolicyKind;
     use ptw::Location;
 
     fn pins(vpns: &[u64]) -> DetSet<u64> {
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn lru_picks_oldest_touch_with_vpn_tiebreak() {
-        let dir = PageDirectory::new(2, MigrationPolicy::OnTouch);
+        let dir = PageDirectory::with_policy(2, PolicyKind::FirstTouch);
         let mut e = EvictionEngine::new(EvictPolicy::Lru, 2);
         e.note_resident(0, 5, 100);
         e.note_resident(0, 9, 50);
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn pinned_pages_are_never_selected() {
-        let dir = PageDirectory::new(2, MigrationPolicy::OnTouch);
+        let dir = PageDirectory::with_policy(2, PolicyKind::FirstTouch);
         let mut e = EvictionEngine::new(EvictPolicy::Lru, 2);
         e.note_resident(0, 5, 10);
         e.note_resident(0, 9, 20);
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn protect_hot_keeps_the_working_set() {
-        let dir = PageDirectory::new(2, MigrationPolicy::OnTouch);
+        let dir = PageDirectory::with_policy(2, PolicyKind::FirstTouch);
         let mut e = EvictionEngine::new(EvictPolicy::Lru, 2);
         e.note_resident(0, 1, 10);
         e.note_resident(0, 2, 20);
@@ -281,9 +281,8 @@ mod tests {
 
     #[test]
     fn access_counter_prefers_cold_directory_heat() {
-        let mut dir = PageDirectory::new(2, MigrationPolicy::RemoteMapping {
-            migrate_threshold: 100,
-        });
+        let mut dir =
+            PageDirectory::with_policy(2, PolicyKind::DelayedMigration { threshold: 100 });
         let _ = dir.resolve_fault(5, 0, false); // fault heat on 5
         let _ = dir.resolve_fault(5, 1, false);
         let _ = dir.record_remote_access(5, 1);

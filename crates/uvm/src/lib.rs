@@ -4,35 +4,33 @@
 //! every page lives (§II-A). This crate models that authority and the three
 //! page-placement policies the paper evaluates:
 //!
-//! * **on-touch migration** (the default in modern GPUs, §V-E): the first
-//!   access from a GPU migrates the page into its device memory;
-//! * **read replication** (§V-D): read-shared pages are replicated under an
-//!   ESI coherence protocol, writes invalidate all replicas;
-//! * **remote mapping** (§V-E): a far fault first maps the remote page
-//!   without moving it, and per-GPU access counters promote hot pages to a
-//!   real migration.
+//! * **on-touch migration** ([`PolicyKind::FirstTouch`], the default in
+//!   modern GPUs, §V-E): the first access from a GPU migrates the page into
+//!   its device memory;
+//! * **read replication** ([`PolicyKind::ReadDuplicate`], §V-D): read-shared
+//!   pages are replicated under an ESI coherence protocol, writes invalidate
+//!   all replicas;
+//! * **remote mapping** ([`PolicyKind::DelayedMigration`], §V-E): a far
+//!   fault first maps the remote page without moving it, and per-GPU access
+//!   counters promote hot pages to a real migration.
 //!
 //! It also models the **software UVM-driver far-fault path** (§II-B): a
 //! fault buffer drained in 256-fault batches by driver threads, the
 //! scalability bottleneck that Fig. 2 quantifies.
 //!
-//! Placement decisions live in the pluggable [`policy`] engine: a
-//! [`PlacementPolicy`] trait with four shipped policies (first-touch,
-//! delayed migration, read duplication, neighborhood prefetch), every
-//! ownership change expressed as an [`OwnershipTransaction`] that the
-//! memory system mirrors atomically into page tables, TLBs, PRTs and FTs.
+//! Placement decisions live in the [`policy`] module: [`PolicyKind`] names
+//! one of four policies (first-touch, delayed migration, read duplication,
+//! neighborhood prefetch) and carries their decision logic as methods. Every
+//! ownership change — a fault resolution, a prefetch or an access-counter
+//! promotion — is expressed as an [`OwnershipTransaction`] that the memory
+//! system mirrors atomically into page tables, TLBs, PRTs and FTs.
 
 pub mod directory;
 pub mod driver;
 pub mod evict;
 pub mod policy;
 
-pub use directory::{
-    DirectoryStats, EvictionReport, FaultAction, FaultOutcome, MigrationPolicy, PageDirectory,
-    PageState,
-};
+pub use directory::{DirectoryStats, EvictionReport, PageDirectory, PageState};
 pub use evict::{EvictPolicy, EvictionEngine, VictimPick};
 pub use driver::{DriverBatch, DriverConfig, UvmDriver};
-pub use policy::{
-    OwnershipTransaction, PlacementPolicy, PolicyDecision, PolicyKind, TrafficClass, TxnKind,
-};
+pub use policy::{OwnershipTransaction, PolicyDecision, PolicyKind, TrafficClass, TxnKind};

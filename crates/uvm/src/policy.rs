@@ -1,17 +1,15 @@
-//! Pluggable page-placement policies and the ownership transaction their
-//! decisions are carried out through.
+//! The placement policies and the ownership transaction their decisions
+//! are carried out through.
 //!
-//! The directory used to hard-wire the three §V-D/E policies into one match
-//! statement; everything the memory system had to mirror (page-table
-//! rewrites, TLB shootdowns, PRT/FT maintenance) was reconstructed ad hoc at
-//! each call site. This module splits that into:
-//!
-//! * [`PolicyKind`] — a cheap, copyable policy selector carried in configs;
-//! * [`PlacementPolicy`] — the decision trait: given the current
-//!   [`PageState`] and the faulting GPU, pick a [`PolicyDecision`];
+//! * [`PolicyKind`] — the copyable policy selector carried in configs. Its
+//!   methods are the whole decision logic: given the current [`PageState`]
+//!   and the faulting GPU, [`on_fault`](PolicyKind::on_fault) picks a
+//!   [`PolicyDecision`]; the access-counter threshold and the prefetch
+//!   neighborhood come from the same enum.
 //! * [`OwnershipTransaction`] — the *single* record every ownership change
-//!   flows through. The directory mutates its authoritative state and emits
-//!   one transaction naming the data source, destination, the GPUs whose
+//!   flows through, fault resolutions and access-counter promotions alike.
+//!   The directory mutates its authoritative state and emits one
+//!   transaction naming the data source, destination, the GPUs whose
 //!   PTE/TLB/PRT entries must be shot down, and the FT keys to rewrite. The
 //!   memory system applies it atomically (within one simulated event), so
 //!   the post-run invariant auditor can check that no stale short-circuit
@@ -28,7 +26,7 @@
 
 use ptw::{GpuId, Location};
 
-use crate::directory::{FaultAction, FaultOutcome, MigrationPolicy, PageState};
+use crate::directory::PageState;
 
 /// Priority class of translation-pipeline traffic, for overload shedding.
 ///
@@ -55,8 +53,9 @@ impl TrafficClass {
 
 /// Which placement policy drives the directory.
 ///
-/// `Copy` so configs can embed it; [`build`](Self::build) turns it into the
-/// boxed implementation the directory consults.
+/// Policies are stateless: every counter they consult lives in the per-page
+/// [`PageState`], so cloning a directory (checkpointing) never loses policy
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// First touch migrates the page into the faulting GPU (the default;
@@ -91,48 +90,65 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the boxed policy implementation.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
+    /// Decides how to resolve a far fault by `gpu` on a page currently in
+    /// state `page`. The directory has already filtered already-resident
+    /// faults and bumped `page.fault_counts[gpu]`.
+    pub fn on_fault(self, page: &PageState, gpu: GpuId, is_write: bool) -> PolicyDecision {
         match self {
-            PolicyKind::FirstTouch => Box::new(FirstTouch),
-            PolicyKind::DelayedMigration { threshold } => {
-                Box::new(DelayedMigration { threshold })
-            }
-            PolicyKind::ReadDuplicate => Box::new(ReadDuplicate),
-            PolicyKind::PrefetchNeighborhood { radius } => {
-                Box::new(PrefetchNeighborhood { radius })
-            }
-        }
-    }
-}
-
-impl From<MigrationPolicy> for PolicyKind {
-    /// Every legacy [`MigrationPolicy`] maps onto the policy engine; the
-    /// mapped kind reproduces the legacy behaviour exactly (the engine is a
-    /// strict superset).
-    fn from(p: MigrationPolicy) -> Self {
-        match p {
-            MigrationPolicy::OnTouch => PolicyKind::FirstTouch,
-            MigrationPolicy::ReadReplication => PolicyKind::ReadDuplicate,
-            MigrationPolicy::RemoteMapping { migrate_threshold } => PolicyKind::DelayedMigration {
-                threshold: migrate_threshold,
-            },
-        }
-    }
-}
-
-impl From<PolicyKind> for MigrationPolicy {
-    /// Closest legacy policy, for the back-compat accessor.
-    fn from(k: PolicyKind) -> Self {
-        match k {
             PolicyKind::FirstTouch | PolicyKind::PrefetchNeighborhood { .. } => {
-                MigrationPolicy::OnTouch
+                PolicyDecision::Migrate
             }
-            PolicyKind::DelayedMigration { threshold } => MigrationPolicy::RemoteMapping {
-                migrate_threshold: threshold,
-            },
-            PolicyKind::ReadDuplicate => MigrationPolicy::ReadReplication,
+            PolicyKind::DelayedMigration { threshold } => {
+                if page.home == Location::Cpu {
+                    // Cold pages have no remote owner to borrow from.
+                    PolicyDecision::Migrate
+                } else if page
+                    .fault_counts
+                    .get(gpu as usize)
+                    .is_some_and(|&c| c >= threshold)
+                {
+                    PolicyDecision::Migrate
+                } else {
+                    PolicyDecision::RemoteMap
+                }
+            }
+            PolicyKind::ReadDuplicate => {
+                if is_write {
+                    PolicyDecision::Collapse
+                } else if page.home == Location::Cpu && page.replicas == 0 {
+                    // First touch: plain migration from the host.
+                    PolicyDecision::Migrate
+                } else {
+                    PolicyDecision::Replicate
+                }
+            }
         }
+    }
+
+    /// Remote data accesses before a remote-mapped page is promoted to a
+    /// migration, or `None` when this policy does not count accesses.
+    /// Policies returning `None` never create directory entries on the
+    /// remote-access path.
+    pub fn remote_access_threshold(self) -> Option<u32> {
+        match self {
+            PolicyKind::DelayedMigration { threshold } => Some(threshold),
+            PolicyKind::FirstTouch
+            | PolicyKind::ReadDuplicate
+            | PolicyKind::PrefetchNeighborhood { .. } => None,
+        }
+    }
+
+    /// VPNs to prefetch alongside a migration of `vpn` (empty for policies
+    /// that do not prefetch): the aligned `2^radius`-page block around it,
+    /// minus `vpn` itself, in ascending order so the simulator applies them
+    /// deterministically.
+    pub fn prefetch_neighborhood(self, vpn: u64) -> Vec<u64> {
+        let PolicyKind::PrefetchNeighborhood { radius } = self else {
+            return Vec::new();
+        };
+        let span = 1u64 << radius.min(16);
+        let base = vpn & !(span - 1);
+        (base..base + span).filter(|&v| v != vpn).collect()
     }
 }
 
@@ -148,133 +164,6 @@ pub enum PolicyDecision {
     Replicate,
     /// Map the page in place; no data moves.
     RemoteMap,
-}
-
-/// A placement policy: pure decision logic over directory state.
-///
-/// Implementations are stateless — every counter they consult lives in the
-/// per-page [`PageState`], so cloning a directory (checkpointing) never
-/// loses policy state.
-pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
-    /// The selector this implementation was built from.
-    fn kind(&self) -> PolicyKind;
-
-    /// Decides how to resolve a far fault by `gpu` on a page currently in
-    /// state `page`. The directory has already filtered already-resident
-    /// faults and bumped `page.fault_counts[gpu]`.
-    fn on_fault(&self, page: &PageState, gpu: GpuId, is_write: bool) -> PolicyDecision;
-
-    /// Remote data accesses before a remote-mapped page is promoted to a
-    /// migration, or `None` when this policy does not count accesses.
-    /// Policies returning `None` never create directory entries on the
-    /// remote-access path.
-    fn remote_access_threshold(&self) -> Option<u32> {
-        None
-    }
-
-    /// VPNs to prefetch alongside a migration of `vpn` (empty for policies
-    /// that do not prefetch). Candidates are returned in ascending order so
-    /// the simulator applies them deterministically.
-    fn prefetch_neighborhood(&self, _vpn: u64) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
-/// Always migrate into the faulting GPU.
-#[derive(Debug, Clone, Copy)]
-pub struct FirstTouch;
-
-impl PlacementPolicy for FirstTouch {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::FirstTouch
-    }
-
-    fn on_fault(&self, _page: &PageState, _gpu: GpuId, _is_write: bool) -> PolicyDecision {
-        PolicyDecision::Migrate
-    }
-}
-
-/// Remote-map first; migrate once a GPU has far-faulted `threshold` times on
-/// the page (and still promote hot remote mappings on data accesses).
-#[derive(Debug, Clone, Copy)]
-pub struct DelayedMigration {
-    /// Far faults from one GPU before the page migrates to it.
-    pub threshold: u32,
-}
-
-impl PlacementPolicy for DelayedMigration {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::DelayedMigration {
-            threshold: self.threshold,
-        }
-    }
-
-    fn on_fault(&self, page: &PageState, gpu: GpuId, _is_write: bool) -> PolicyDecision {
-        if page.home == Location::Cpu {
-            // Cold pages have no remote owner to borrow from.
-            PolicyDecision::Migrate
-        } else if page
-            .fault_counts
-            .get(gpu as usize)
-            .is_some_and(|&c| c >= self.threshold)
-        {
-            PolicyDecision::Migrate
-        } else {
-            PolicyDecision::RemoteMap
-        }
-    }
-
-    fn remote_access_threshold(&self) -> Option<u32> {
-        Some(self.threshold)
-    }
-}
-
-/// Replicate read-shared pages; writes collapse back to a single owner.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadDuplicate;
-
-impl PlacementPolicy for ReadDuplicate {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::ReadDuplicate
-    }
-
-    fn on_fault(&self, page: &PageState, _gpu: GpuId, is_write: bool) -> PolicyDecision {
-        if is_write {
-            PolicyDecision::Collapse
-        } else if page.home == Location::Cpu && page.replicas == 0 {
-            // First touch: plain migration from the host.
-            PolicyDecision::Migrate
-        } else {
-            PolicyDecision::Replicate
-        }
-    }
-}
-
-/// First-touch migration plus prefetch of the aligned block around the
-/// faulting VPN (the tree-climbing heuristic of the NVIDIA UVM driver,
-/// restricted to one level).
-#[derive(Debug, Clone, Copy)]
-pub struct PrefetchNeighborhood {
-    /// log2 of the prefetch block size in pages.
-    pub radius: u32,
-}
-
-impl PlacementPolicy for PrefetchNeighborhood {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PrefetchNeighborhood {
-            radius: self.radius,
-        }
-    }
-
-    fn on_fault(&self, _page: &PageState, _gpu: GpuId, _is_write: bool) -> PolicyDecision {
-        PolicyDecision::Migrate
-    }
-
-    fn prefetch_neighborhood(&self, vpn: u64) -> Vec<u64> {
-        let span = 1u64 << self.radius.min(16);
-        let base = vpn & !(span - 1);
-        (base..base + span).filter(|&v| v != vpn).collect()
-    }
 }
 
 /// The kind of ownership change a transaction carries.
@@ -345,20 +234,6 @@ impl OwnershipTransaction {
             TxnKind::Migrate | TxnKind::Collapse | TxnKind::Prefetch
         )
     }
-
-    /// The legacy per-fault outcome view of this transaction.
-    pub fn outcome(&self) -> FaultOutcome {
-        FaultOutcome {
-            action: match self.kind {
-                TxnKind::Migrate | TxnKind::Collapse | TxnKind::Prefetch => FaultAction::Migrate,
-                TxnKind::Replicate => FaultAction::Replicate,
-                TxnKind::RemoteMap => FaultAction::RemoteMap,
-                TxnKind::AlreadyResident => FaultAction::AlreadyResident,
-            },
-            source: self.source,
-            invalidations: self.invalidate.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -376,29 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_policies_map_onto_the_engine() {
-        assert_eq!(
-            PolicyKind::from(MigrationPolicy::OnTouch),
-            PolicyKind::FirstTouch
-        );
-        assert_eq!(
-            PolicyKind::from(MigrationPolicy::ReadReplication),
-            PolicyKind::ReadDuplicate
-        );
-        assert!(matches!(
-            PolicyKind::from(MigrationPolicy::RemoteMapping { migrate_threshold: 5 }),
-            PolicyKind::DelayedMigration { .. }
-        ));
-        // And back: the accessor view stays faithful for the shared pairs.
-        assert_eq!(
-            MigrationPolicy::from(PolicyKind::ReadDuplicate),
-            MigrationPolicy::ReadReplication
-        );
-    }
-
-    #[test]
     fn first_touch_always_migrates() {
-        let p = PolicyKind::FirstTouch.build();
+        let p = PolicyKind::FirstTouch;
         let mut s = page(4);
         assert_eq!(p.on_fault(&s, 1, false), PolicyDecision::Migrate);
         s.home = Location::Gpu(2);
@@ -409,7 +263,7 @@ mod tests {
 
     #[test]
     fn delayed_migration_maps_then_migrates_at_threshold() {
-        let p = PolicyKind::DelayedMigration { threshold: 3 }.build();
+        let p = PolicyKind::DelayedMigration { threshold: 3 };
         let mut s = page(4);
         // Cold page: nothing to borrow, migrate.
         assert_eq!(p.on_fault(&s, 1, false), PolicyDecision::Migrate);
@@ -423,7 +277,7 @@ mod tests {
 
     #[test]
     fn read_duplicate_replicates_reads_and_collapses_writes() {
-        let p = PolicyKind::ReadDuplicate.build();
+        let p = PolicyKind::ReadDuplicate;
         let mut s = page(4);
         assert_eq!(p.on_fault(&s, 1, false), PolicyDecision::Migrate, "first touch");
         s.home = Location::Gpu(0);
@@ -433,10 +287,10 @@ mod tests {
 
     #[test]
     fn prefetch_neighborhood_is_an_aligned_block_minus_the_trigger() {
-        let p = PolicyKind::PrefetchNeighborhood { radius: 2 }.build();
+        let p = PolicyKind::PrefetchNeighborhood { radius: 2 };
         assert_eq!(p.prefetch_neighborhood(5), vec![4, 6, 7]);
         assert_eq!(p.prefetch_neighborhood(8), vec![9, 10, 11]);
-        let wide = PolicyKind::PrefetchNeighborhood { radius: 3 }.build();
+        let wide = PolicyKind::PrefetchNeighborhood { radius: 3 };
         assert_eq!(wide.prefetch_neighborhood(0), vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
@@ -453,7 +307,6 @@ mod tests {
         let m = mk(TxnKind::Migrate);
         assert!(m.moves_data() && m.moves_home());
         assert_eq!(m.resolved_location(), Location::Gpu(1));
-        assert_eq!(m.outcome().action, FaultAction::Migrate);
 
         let r = mk(TxnKind::RemoteMap);
         assert!(!r.moves_data() && !r.moves_home());
@@ -464,18 +317,5 @@ mod tests {
 
         let a = mk(TxnKind::AlreadyResident);
         assert!(!a.moves_data());
-        assert_eq!(a.outcome().action, FaultAction::AlreadyResident);
-    }
-
-    #[test]
-    fn builds_report_their_kind() {
-        for kind in [
-            PolicyKind::FirstTouch,
-            PolicyKind::DelayedMigration { threshold: 4 },
-            PolicyKind::ReadDuplicate,
-            PolicyKind::PrefetchNeighborhood { radius: 3 },
-        ] {
-            assert_eq!(kind.build().kind(), kind);
-        }
     }
 }

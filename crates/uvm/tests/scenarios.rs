@@ -1,19 +1,19 @@
 //! Multi-step placement scenarios across the directory and driver.
 
 use ptw::Location;
-use uvm::{DriverConfig, FaultAction, MigrationPolicy, PageDirectory, UvmDriver};
+use uvm::{DriverConfig, PageDirectory, PolicyKind, TxnKind, UvmDriver};
 
 #[test]
 fn producer_consumer_ping_pong() {
     // GPU 0 writes, GPU 1 reads, repeatedly: on-touch keeps migrating.
-    let mut dir = PageDirectory::new(2, MigrationPolicy::OnTouch);
+    let mut dir = PageDirectory::with_policy(2, PolicyKind::FirstTouch);
     dir.resolve_fault(0, 0, true);
     for round in 0..10 {
         let out = dir.resolve_fault(0, 1, false);
-        assert_eq!(out.action, FaultAction::Migrate, "round {round}");
+        assert_eq!(out.kind, TxnKind::Migrate, "round {round}");
         assert_eq!(out.source, Location::Gpu(0));
         let out = dir.resolve_fault(0, 0, true);
-        assert_eq!(out.action, FaultAction::Migrate);
+        assert_eq!(out.kind, TxnKind::Migrate);
         assert_eq!(out.source, Location::Gpu(1));
     }
     assert_eq!(dir.stats().migrations, 21);
@@ -21,14 +21,14 @@ fn producer_consumer_ping_pong() {
 
 #[test]
 fn replication_stops_read_ping_pong() {
-    let mut dir = PageDirectory::new(2, MigrationPolicy::ReadReplication);
+    let mut dir = PageDirectory::with_policy(2, PolicyKind::ReadDuplicate);
     dir.resolve_fault(0, 0, false);
     dir.resolve_fault(0, 1, false); // replica
     // Further reads are already resident on both GPUs: no faults resolve to
     // data movement.
     for g in 0..2 {
         let out = dir.resolve_fault(0, g, false);
-        assert_eq!(out.action, FaultAction::AlreadyResident);
+        assert_eq!(out.kind, TxnKind::AlreadyResident);
     }
     assert_eq!(dir.stats().migrations, 1, "only the first touch moved data");
 }
@@ -37,7 +37,7 @@ fn replication_stops_read_ping_pong() {
 fn write_storm_on_replicated_page() {
     // Alternating writers under replication: every write collapses the
     // other side's copy (the Fig. 24 pathology).
-    let mut dir = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+    let mut dir = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
     for g in 0..4 {
         dir.resolve_fault(0, g, false);
     }
@@ -45,7 +45,7 @@ fn write_storm_on_replicated_page() {
     for round in 0..8 {
         let writer = round % 4;
         let out = dir.resolve_fault(0, writer, true);
-        invalidations += out.invalidations.len();
+        invalidations += out.invalidate.len();
         // After a write, only the writer holds the page.
         for g in 0..4 {
             assert_eq!(dir.is_resident(0, g), g == writer, "round {round}");
@@ -62,10 +62,10 @@ fn write_storm_on_replicated_page() {
 
 #[test]
 fn remote_mapping_defers_until_threshold() {
-    let mut dir = PageDirectory::new(2, MigrationPolicy::RemoteMapping { migrate_threshold: 5 });
+    let mut dir = PageDirectory::with_policy(2, PolicyKind::DelayedMigration { threshold: 5 });
     dir.resolve_fault(0, 0, false);
     let out = dir.resolve_fault(0, 1, false);
-    assert_eq!(out.action, FaultAction::RemoteMap);
+    assert_eq!(out.kind, TxnKind::RemoteMap);
     for i in 0..4 {
         assert!(
             dir.record_remote_access(0, 1).is_none(),
@@ -73,7 +73,7 @@ fn remote_mapping_defers_until_threshold() {
         );
     }
     let promo = dir.record_remote_access(0, 1).expect("fifth access promotes");
-    assert_eq!(promo.action, FaultAction::Migrate);
+    assert_eq!(promo.kind, TxnKind::Migrate);
     assert_eq!(dir.home(0), Location::Gpu(1));
     // Counter resets after migration: home GPU accesses never promote.
     assert!(dir.record_remote_access(0, 1).is_none());
@@ -104,7 +104,7 @@ fn driver_backlog_drains_in_arrival_order() {
 
 #[test]
 fn directory_stats_partition_by_action() {
-    let mut dir = PageDirectory::new(4, MigrationPolicy::ReadReplication);
+    let mut dir = PageDirectory::with_policy(4, PolicyKind::ReadDuplicate);
     dir.resolve_fault(0, 0, false); // migrate (cold)
     dir.resolve_fault(0, 1, false); // replicate
     dir.resolve_fault(0, 2, true); // write: invalidate 2 + migrate
@@ -116,7 +116,7 @@ fn directory_stats_partition_by_action() {
 
 #[test]
 fn placement_survives_many_pages() {
-    let mut dir = PageDirectory::new(8, MigrationPolicy::OnTouch);
+    let mut dir = PageDirectory::with_policy(8, PolicyKind::FirstTouch);
     for vpn in 0..10_000u64 {
         dir.place(vpn, Location::Gpu((vpn % 8) as u16));
     }

@@ -319,7 +319,7 @@ mod tests {
                 .gpus(4)
                 .cus_per_gpu(2)
                 .seed(5)
-                .placement(Some(kind))
+                .placement(kind)
                 .build();
             let m = System::new(cfg).run(&spec).unwrap_or_else(|e| {
                 panic!("{} failed under {:?}: {e}", spec.name(), kind)

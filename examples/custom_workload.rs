@@ -11,7 +11,7 @@
 //! ```
 
 use transfw_sim::prelude::*;
-use transfw_sim::uvm::MigrationPolicy;
+use transfw_sim::uvm::PolicyKind;
 
 /// A producer–consumer pipeline over a shared ring of buffer pages.
 #[derive(Debug)]
@@ -87,17 +87,17 @@ fn main() {
     println!("policy           | baseline cycles | Trans-FW cycles | speedup | faults b/t");
     println!("-----------------+-----------------+-----------------+---------+-----------");
     let policies = [
-        ("on-touch", MigrationPolicy::OnTouch),
-        ("replication", MigrationPolicy::ReadReplication),
-        ("remote-mapping", MigrationPolicy::RemoteMapping { migrate_threshold: 8 }),
+        ("on-touch", PolicyKind::FirstTouch),
+        ("replication", PolicyKind::ReadDuplicate),
+        ("remote-mapping", PolicyKind::DelayedMigration { threshold: 8 }),
     ];
-    for (label, policy) in policies {
+    for (label, placement) in policies {
         let base_cfg = SystemConfig {
-            policy,
+            placement,
             ..SystemConfig::baseline()
         };
         let tfw_cfg = SystemConfig {
-            policy,
+            placement,
             ..SystemConfig::with_transfw()
         };
         let base = System::new(base_cfg).run(&app).unwrap();

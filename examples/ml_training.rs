@@ -8,7 +8,7 @@
 //! ```
 
 use transfw_sim::prelude::*;
-use transfw_sim::uvm::MigrationPolicy;
+use transfw_sim::uvm::PolicyKind;
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -21,7 +21,7 @@ fn main() {
         let base = System::new(SystemConfig::baseline()).run(&model).unwrap();
         let tfw = System::new(SystemConfig::with_transfw()).run(&model).unwrap();
         let repl_cfg = SystemConfig {
-            policy: MigrationPolicy::ReadReplication,
+            placement: PolicyKind::ReadDuplicate,
             ..SystemConfig::with_transfw()
         };
         let tfw_repl = System::new(repl_cfg).run(&model).unwrap();

@@ -76,7 +76,7 @@ fn eightfold_load_sheds_background_before_any_demand_walk() {
         .host_walkers(1)
         .seed(11)
         .transfw(Some(big_tables()))
-        .placement(Some(PolicyKind::PrefetchNeighborhood { radius: 3 }))
+        .placement(PolicyKind::PrefetchNeighborhood { radius: 3 })
         .overload(test_overload())
         .build();
     let m = System::new(cfg).run(&app).unwrap();
@@ -113,7 +113,7 @@ fn shedding_is_monotone_in_offered_load() {
             .host_walkers(1)
             .seed(seed)
             .transfw(Some(big_tables()))
-            .placement(Some(PolicyKind::DelayedMigration { threshold: 2 }))
+            .placement(PolicyKind::DelayedMigration { threshold: 2 })
             .overload(test_overload())
             .build()
     };
@@ -308,7 +308,7 @@ fn random_burst_schedules_and_fault_plans_never_leak() {
                 .host_walkers(1)
                 .seed(seed)
                 .transfw(Some(big_tables()))
-                .placement(Some(kind))
+                .placement(kind)
                 .overload(test_overload())
                 .faults(plan.clone())
                 .build();

@@ -102,7 +102,7 @@ fn thrash_gate_trips_and_degrades_instead_of_collapsing() {
         .cus_per_gpu(4)
         .seed(7)
         .transfw(Some(big_tables()))
-        .placement(Some(PolicyKind::PrefetchNeighborhood { radius: 3 }))
+        .placement(PolicyKind::PrefetchNeighborhood { radius: 3 })
         .oversub(oversub)
         .build();
     let m = System::new(cfg).run(&app).unwrap();
@@ -233,7 +233,7 @@ fn random_ratios_policies_and_plans_never_leak_and_restore_cleanly() {
             .host_walkers(1)
             .seed(seed)
             .transfw(Some(big_tables()))
-            .placement(Some(kind))
+            .placement(kind)
             .oversub(oversub)
             .faults(plan)
             .build();

@@ -2,12 +2,12 @@
 //! paper evaluates (§§V-D/E/F/G).
 
 use transfw_sim::prelude::*;
-use transfw_sim::uvm::MigrationPolicy;
+use transfw_sim::uvm::PolicyKind;
 
 const SCALE: f64 = 0.1;
 
-fn run_with(policy: MigrationPolicy, app: &dyn Workload) -> RunMetrics {
-    System::new(SystemConfig { policy, ..SystemConfig::baseline() }).run(app).unwrap()
+fn run_with(placement: PolicyKind, app: &dyn Workload) -> RunMetrics {
+    System::new(SystemConfig { placement, ..SystemConfig::baseline() }).run(app).unwrap()
 }
 
 #[test]
@@ -15,8 +15,8 @@ fn replication_cuts_migrations_for_read_shared_apps() {
     // SC's shared input image is read-mostly: replication should replace
     // most migrations with replications.
     let app = workloads::app("SC").unwrap().scaled(SCALE);
-    let on_touch = run_with(MigrationPolicy::OnTouch, &app);
-    let repl = run_with(MigrationPolicy::ReadReplication, &app);
+    let on_touch = run_with(PolicyKind::FirstTouch, &app);
+    let repl = run_with(PolicyKind::ReadDuplicate, &app);
     assert!(repl.directory.replications > 0, "replicas must be created");
     assert!(
         repl.directory.migrations < on_touch.directory.migrations,
@@ -31,10 +31,10 @@ fn replication_helps_read_shared_more_than_write_shared() {
     // Needs full sharing density for the replication benefit to show.
     let sc = workloads::app("SC").unwrap().scaled(0.4); // read-shared
     let mt = workloads::app("MT").unwrap().scaled(0.4); // write-shared
-    let sc_gain = run_with(MigrationPolicy::OnTouch, &sc).total_cycles as f64
-        / run_with(MigrationPolicy::ReadReplication, &sc).total_cycles as f64;
-    let mt_gain = run_with(MigrationPolicy::OnTouch, &mt).total_cycles as f64
-        / run_with(MigrationPolicy::ReadReplication, &mt).total_cycles as f64;
+    let sc_gain = run_with(PolicyKind::FirstTouch, &sc).total_cycles as f64
+        / run_with(PolicyKind::ReadDuplicate, &sc).total_cycles as f64;
+    let mt_gain = run_with(PolicyKind::FirstTouch, &mt).total_cycles as f64
+        / run_with(PolicyKind::ReadDuplicate, &mt).total_cycles as f64;
     assert!(
         sc_gain > mt_gain * 0.97,
         "read replication must help SC ({sc_gain}) at least as much as write-heavy MT ({mt_gain})"
@@ -44,7 +44,7 @@ fn replication_helps_read_shared_more_than_write_shared() {
 #[test]
 fn write_invalidations_happen_on_write_shared_apps() {
     let mt = workloads::app("MT").unwrap().scaled(SCALE);
-    let m = run_with(MigrationPolicy::ReadReplication, &mt);
+    let m = run_with(PolicyKind::ReadDuplicate, &mt);
     assert!(
         m.directory.write_invalidations > 0,
         "MT writes shared pages: ESI must invalidate replicas"
@@ -54,13 +54,8 @@ fn write_invalidations_happen_on_write_shared_apps() {
 #[test]
 fn remote_mapping_reduces_page_movement() {
     let app = workloads::app("PR").unwrap().scaled(SCALE);
-    let on_touch = run_with(MigrationPolicy::OnTouch, &app);
-    let remote = run_with(
-        MigrationPolicy::RemoteMapping {
-            migrate_threshold: 8,
-        },
-        &app,
-    );
+    let on_touch = run_with(PolicyKind::FirstTouch, &app);
+    let remote = run_with(PolicyKind::DelayedMigration { threshold: 8 }, &app);
     assert!(remote.directory.remote_maps > 0, "mappings must be created");
     assert!(
         remote.directory.migrations < on_touch.directory.migrations,
@@ -73,12 +68,7 @@ fn remote_mapping_reduces_page_movement() {
 #[test]
 fn remote_mapping_promotes_hot_pages() {
     let app = workloads::app("KM").unwrap().scaled(SCALE);
-    let remote = run_with(
-        MigrationPolicy::RemoteMapping {
-            migrate_threshold: 2,
-        },
-        &app,
-    );
+    let remote = run_with(PolicyKind::DelayedMigration { threshold: 2 }, &app);
     assert!(
         remote.directory.promotions > 0,
         "KM's hot centroids must trip the access counters"

@@ -1,53 +1,15 @@
-//! Integration tests for the `uvm::policy` placement engine: the
-//! first-touch default must be a strict superset of the legacy fault path
-//! (bit-identical metrics), and each shipped policy must shape page
-//! movement the way its design says — with every ownership change flowing
-//! through the transactional PRT/FT/TLB plumbing the post-run invariant
-//! auditor certifies.
+//! Integration tests for the `uvm::policy` placement engine: each shipped
+//! policy must shape page movement the way its design says — with every
+//! ownership change flowing through the transactional PRT/FT/TLB plumbing
+//! the post-run invariant auditor certifies.
 
 use transfw_sim::prelude::*;
 use transfw_sim::uvm::PolicyKind;
 
 const SCALE: f64 = 0.1;
 
-fn run_placement(placement: Option<PolicyKind>, cfg: SystemConfig, app: &dyn Workload) -> RunMetrics {
+fn run_placement(placement: PolicyKind, cfg: SystemConfig, app: &dyn Workload) -> RunMetrics {
     System::new(SystemConfig { placement, ..cfg }).run(app).unwrap()
-}
-
-/// The acceptance gate: routing the default policy through the new engine
-/// must not perturb a single counter relative to leaving `placement` unset
-/// (which derives `FirstTouch` from the legacy `policy` field).
-#[test]
-fn explicit_first_touch_is_bit_identical_to_default() {
-    for (name, cfg) in [
-        ("baseline", SystemConfig::baseline()),
-        ("transfw", SystemConfig::with_transfw()),
-    ] {
-        for app_name in ["AES", "KM", "MT"] {
-            let app = workloads::app(app_name).unwrap().scaled(0.05);
-            let implicit = run_placement(None, cfg.clone(), &app);
-            let explicit = run_placement(Some(PolicyKind::FirstTouch), cfg.clone(), &app);
-            assert_eq!(
-                implicit, explicit,
-                "{name}/{app_name}: placement=Some(FirstTouch) drifted from the default"
-            );
-        }
-    }
-}
-
-#[test]
-fn legacy_policy_field_still_selects_equivalent_engine() {
-    // `policy: ReadReplication` with no explicit placement must behave as
-    // `placement: ReadDuplicate` — the From conversion is the compat shim.
-    let app = workloads::app("SC").unwrap().scaled(SCALE);
-    let legacy = System::new(SystemConfig {
-        policy: transfw_sim::uvm::MigrationPolicy::ReadReplication,
-        ..SystemConfig::baseline()
-    })
-    .run(&app)
-    .unwrap();
-    let engine = run_placement(Some(PolicyKind::ReadDuplicate), SystemConfig::baseline(), &app);
-    assert_eq!(legacy, engine, "legacy ReadReplication != ReadDuplicate engine");
 }
 
 #[test]
@@ -55,9 +17,9 @@ fn delayed_migration_defers_movement_until_threshold() {
     // A high threshold under PR's random sharing: pages stay remote-mapped
     // far longer than under eager first touch.
     let app = workloads::app("PR").unwrap().scaled(SCALE);
-    let eager = run_placement(Some(PolicyKind::FirstTouch), SystemConfig::baseline(), &app);
+    let eager = run_placement(PolicyKind::FirstTouch, SystemConfig::baseline(), &app);
     let delayed = run_placement(
-        Some(PolicyKind::DelayedMigration { threshold: 64 }),
+        PolicyKind::DelayedMigration { threshold: 64 },
         SystemConfig::baseline(),
         &app,
     );
@@ -73,7 +35,7 @@ fn delayed_migration_defers_movement_until_threshold() {
 #[test]
 fn read_duplicate_replicates_and_collapses() {
     let app = workloads::app("MT").unwrap().scaled(SCALE);
-    let m = run_placement(Some(PolicyKind::ReadDuplicate), SystemConfig::with_transfw(), &app);
+    let m = run_placement(PolicyKind::ReadDuplicate, SystemConfig::with_transfw(), &app);
     assert!(m.directory.replications > 0, "read-shared pages must replicate");
     assert!(
         m.placement.collapses > 0,
@@ -85,9 +47,9 @@ fn read_duplicate_replicates_and_collapses() {
 #[test]
 fn prefetch_neighborhood_moves_extra_pages() {
     let app = workloads::phase_shift().scaled(0.05);
-    let plain = run_placement(Some(PolicyKind::FirstTouch), SystemConfig::with_transfw(), &app);
+    let plain = run_placement(PolicyKind::FirstTouch, SystemConfig::with_transfw(), &app);
     let pf = run_placement(
-        Some(PolicyKind::PrefetchNeighborhood { radius: 3 }),
+        PolicyKind::PrefetchNeighborhood { radius: 3 },
         SystemConfig::with_transfw(),
         &app,
     );
@@ -114,7 +76,7 @@ fn policies_survive_fault_injection_with_exact_retirement() {
     ] {
         let mut cfg = SystemConfig::with_transfw();
         cfg.faults = transfw_sim::sim_core::FaultPlan::message_chaos(11, 0.02, 200);
-        cfg.placement = Some(kind);
+        cfg.placement = kind;
         let m = System::new(cfg).run(&app).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(
             m.resilience.requests_retired, m.translation_requests,

@@ -12,7 +12,7 @@ use transfw_sim::mgpu::{run_with_restore, System, SystemConfig};
 use transfw_sim::ptw::{Location, PageTable, Pte};
 use transfw_sim::sim_core::{ComponentEvent, EventQueue, FaultPlan, SimRng};
 use transfw_sim::tlb::{Mshr, MshrOutcome, Tlb};
-use transfw_sim::uvm::{MigrationPolicy, PageDirectory, PolicyKind};
+use transfw_sim::uvm::{PageDirectory, PolicyKind};
 use transfw_sim::workloads::{self, Pattern};
 
 const CASES: u64 = 64;
@@ -200,28 +200,29 @@ fn page_table_walks_match_model() {
 #[test]
 fn directory_single_home_invariant() {
     let policies = [
-        MigrationPolicy::OnTouch,
-        MigrationPolicy::ReadReplication,
-        MigrationPolicy::RemoteMapping { migrate_threshold: 3 },
+        PolicyKind::FirstTouch,
+        PolicyKind::ReadDuplicate,
+        PolicyKind::DelayedMigration { threshold: 3 },
+        PolicyKind::PrefetchNeighborhood { radius: 2 },
     ];
     for case in 0..CASES {
         let mut rng = SimRng::new(0xD14EC ^ case);
         let policy = policies[rng.gen_index(policies.len())];
-        let mut dir = PageDirectory::new(4, policy);
+        let mut dir = PageDirectory::with_policy(4, policy);
         for _ in 0..1 + rng.gen_index(199) {
             let vpn = rng.gen_range(40);
             let gpu = rng.gen_range(4) as u16;
             let is_write = rng.chance(0.5);
-            let out = dir.resolve_fault(vpn, gpu, is_write);
+            let txn = dir.resolve_fault(vpn, gpu, is_write);
             // The faulting GPU never invalidates itself.
-            assert!(!out.invalidations.contains(&gpu));
+            assert!(!txn.invalidate.contains(&gpu));
             let page = dir.page(vpn).unwrap();
             // Home is always a single in-range location.
             if let Location::Gpu(h) = page.home {
                 assert!(h < 4);
             }
             // A write never leaves foreign replicas behind.
-            if is_write && policy == MigrationPolicy::ReadReplication {
+            if is_write && policy == PolicyKind::ReadDuplicate {
                 let replicas = page.replicas;
                 assert!(
                     replicas == 0 || replicas == 1 << gpu,
@@ -355,7 +356,7 @@ fn random_policy_and_fault_schedules_replay_bit_identically() {
         };
         let mut cfg = SystemConfig::with_transfw();
         cfg.seed = case;
-        cfg.placement = Some(kind);
+        cfg.placement = kind;
         cfg.faults = faults;
         cfg.checkpoint_interval = Some(2_000);
         cfg.watchdog.max_cycles = Some(10_000_000);
