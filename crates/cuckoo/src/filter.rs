@@ -1,5 +1,7 @@
 //! The Cuckoo filter data structure.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use sim_core::{SimRng, StateDigest};
 
 use crate::hash::metro_mix;
@@ -43,9 +45,10 @@ impl std::error::Error for InsertError {}
 /// - `contains`: the key's two buckets, plus the stash entries filed under
 ///   those two buckets.
 /// - `remove`: the same scans, then an O(1) `swap_remove` from the stash.
-/// - `insert`: two bucket probes; when both are full, up to 500 kick steps
-///   of one RNG draw, one swap and one alternate-bucket table load each.
-///   While the table has no empty cell the kick steps skip their probes.
+/// - `insert`: two free-count tests; when both buckets are full, up to 500
+///   kick steps of one RNG draw, one swap and one free-count test each. A
+///   cell carries its fingerprint's alternate-bucket hash, so a step finds
+///   its next bucket in the value it swapped out, with no second load.
 /// - `new`: one hash per possible fingerprint (`2^fp_bits`) to build the
 ///   alternate-bucket table.
 ///
@@ -67,14 +70,17 @@ impl std::error::Error for InsertError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct CuckooFilter {
-    cells: Vec<u16>,
+    /// `bucket_count × slots` cells: 0 when empty, else
+    /// `fp | alt_base[fp] << 16`. Only the low half is state; the high half
+    /// is derived from it.
+    cells: Vec<u32>,
     bucket_count: usize,
     slots: usize,
     fp_mask: u16,
     fp_bits: u32,
     len: usize,
-    /// Empty cells in `cells` (derived from them).
-    free_cells: usize,
+    /// Empty cells per bucket (derived from `cells`).
+    free_in: Vec<u32>,
     /// `metro_mix(fp, SEED_ALT) % bucket_count` for every fingerprint
     /// (derived from the geometry).
     alt_base: Vec<u16>,
@@ -120,7 +126,8 @@ impl CuckooFilter {
             fp_mask,
             fp_bits,
             len: 0,
-            free_cells: bucket_count * slots,
+            // A bucket of 2^32 slots would take 16 GiB of cells.
+            free_in: vec![slots as u32; bucket_count],
             alt_base,
             stash: Vec::new(),
             stash_index: vec![Vec::new(); bucket_count],
@@ -186,12 +193,24 @@ impl CuckooFilter {
         (metro_mix(key, SEED_IDX) % self.bucket_count as u64) as usize
     }
 
-    /// Alternate bucket: `(H(fp) - i) mod n`, an involution, so relocation
-    /// works without knowing which of the two indices a cell currently uses.
-    /// `H(fp) mod n` is a load from the table built by [`CuckooFilter::new`].
+    /// The cell value that stores `fp`: the fingerprint in the low half and
+    /// `H(fp) mod n`, from the table built by [`CuckooFilter::new`], in the
+    /// high half.
     #[inline]
-    fn alt_index(&self, index: usize, fp: u16) -> usize {
-        let h = self.alt_base.get(usize::from(fp)).map_or(0, |&h| usize::from(h));
+    fn packed(&self, fp: u16) -> u32 {
+        let h = self
+            .alt_base
+            .get(usize::from(fp))
+            .map_or(0, |&h| u32::from(h));
+        u32::from(fp) | h << 16
+    }
+
+    /// Alternate bucket of a stored cell: `(H(fp) - i) mod n`, an
+    /// involution, so relocation works without knowing which of the two
+    /// indices a cell currently uses. `H(fp) mod n` is the cell's high half.
+    #[inline]
+    fn alt_of(&self, index: usize, cell: u32) -> usize {
+        let h = (cell >> 16) as usize;
         if h >= index {
             h - index
         } else {
@@ -199,28 +218,29 @@ impl CuckooFilter {
         }
     }
 
-    fn bucket(&self, index: usize) -> &[u16] {
+    fn bucket(&self, index: usize) -> &[u32] {
         let start = index * self.slots;
         self.cells.get(start..start + self.slots).unwrap_or(&[])
     }
 
-    fn bucket_mut(&mut self, index: usize) -> &mut [u16] {
+    fn bucket_mut(&mut self, index: usize) -> &mut [u32] {
         let start = index * self.slots;
         self.cells
             .get_mut(start..start + self.slots)
             .unwrap_or(&mut [])
     }
 
-    fn try_place(&mut self, index: usize, fp: u16) -> bool {
-        // A full table has no empty cell in any bucket.
-        if self.free_cells == 0 {
+    fn try_place(&mut self, index: usize, cell: u32) -> bool {
+        if self.free_in.get(index).is_none_or(|&free| free == 0) {
             return false;
         }
-        let Some(cell) = self.bucket_mut(index).iter_mut().find(|c| **c == 0) else {
+        let Some(empty) = self.bucket_mut(index).iter_mut().find(|c| **c == 0) else {
             return false;
         };
-        *cell = fp;
-        self.free_cells -= 1;
+        *empty = cell;
+        if let Some(free) = self.free_in.get_mut(index) {
+            *free -= 1;
+        }
         true
     }
 
@@ -275,28 +295,29 @@ impl CuckooFilter {
     /// fingerprint is kept in an internal stash so lookups stay correct.
     pub fn insert(&mut self, key: u64) -> Result<(), InsertError> {
         let fp = self.fingerprint(key);
+        let cell = self.packed(fp);
         let i1 = self.index1(key);
-        let i2 = self.alt_index(i1, fp);
+        let i2 = self.alt_of(i1, cell);
         self.len += 1;
-        if self.try_place(i1, fp) || self.try_place(i2, fp) {
+        if self.try_place(i1, cell) || self.try_place(i2, cell) {
             return Ok(());
         }
         // Kick-out relocation. Every step draws and swaps even when the
         // table is full, so the cells and the RNG position stay exact.
         let mut index = if self.rng.chance(0.5) { i1 } else { i2 };
-        let mut fp = fp;
+        let mut cell = cell;
         for _ in 0..MAX_KICKS {
             let victim_slot = self.rng.gen_index(self.slots);
-            if let Some(cell) = self.cells.get_mut(index * self.slots + victim_slot) {
-                std::mem::swap(&mut fp, cell);
+            if let Some(victim) = self.cells.get_mut(index * self.slots + victim_slot) {
+                std::mem::swap(&mut cell, victim);
             }
-            index = self.alt_index(index, fp);
-            if self.try_place(index, fp) {
+            index = self.alt_of(index, cell);
+            if self.try_place(index, cell) {
                 return Ok(());
             }
         }
         // Preserve the final victim in the stash: no false negatives.
-        self.stash_push(index, fp);
+        self.stash_push(index, cell as u16);
         self.overflows += 1;
         Err(InsertError { key })
     }
@@ -305,10 +326,11 @@ impl CuckooFilter {
     /// configured fingerprint rate.
     pub fn contains(&self, key: u64) -> bool {
         let fp = self.fingerprint(key);
+        let cell = self.packed(fp);
         let i1 = self.index1(key);
-        let i2 = self.alt_index(i1, fp);
-        self.bucket(i1).contains(&fp)
-            || self.bucket(i2).contains(&fp)
+        let i2 = self.alt_of(i1, cell);
+        self.bucket(i1).contains(&cell)
+            || self.bucket(i2).contains(&cell)
             || self
                 .stashed(i1)
                 .iter()
@@ -325,10 +347,11 @@ impl CuckooFilter {
     /// matching stash position.
     pub fn remove(&mut self, key: u64) -> bool {
         let fp = self.fingerprint(key);
+        let cell = self.packed(fp);
         let i1 = self.index1(key);
-        let i2 = self.alt_index(i1, fp);
-        let in1 = self.bucket(i1).contains(&fp);
-        let in2 = i2 != i1 && self.bucket(i2).contains(&fp);
+        let i2 = self.alt_of(i1, cell);
+        let in1 = self.bucket(i1).contains(&cell);
+        let in2 = i2 != i1 && self.bucket(i2).contains(&cell);
         let target = match (in1, in2) {
             (true, true) => {
                 if self.rng.chance(0.5) {
@@ -356,9 +379,11 @@ impl CuckooFilter {
             }
         };
         let b = self.bucket_mut(target);
-        if let Some(cell) = b.iter_mut().find(|c| **c == fp) {
-            *cell = 0;
-            self.free_cells += 1;
+        if let Some(stored) = b.iter_mut().find(|c| **c == cell) {
+            *stored = 0;
+            if let Some(free) = self.free_in.get_mut(target) {
+                *free += 1;
+            }
             self.len -= 1;
             true
         } else {
@@ -369,7 +394,7 @@ impl CuckooFilter {
     /// Empties the filter.
     pub fn clear(&mut self) {
         self.cells.fill(0);
-        self.free_cells = self.cells.len();
+        self.free_in.fill(self.slots as u32);
         self.stash.clear();
         for list in &mut self.stash_index {
             list.clear();
@@ -377,11 +402,21 @@ impl CuckooFilter {
         self.len = 0;
     }
 
-    /// Whether the derived fields (`free_cells`, `alt_base`, `stash_index`)
-    /// agree with the cells, geometry and stash they are derived from.
+    /// Whether the derived fields (`free_in`, `alt_base`, the cells' high
+    /// halves, `stash_index`) agree with the cells, geometry and stash they
+    /// are derived from.
     fn derived_state_consistent(&self) -> bool {
-        let free_ok = self.free_cells == self.cells.iter().filter(|&&c| c == 0).count();
-        let alt_ok = self.alt_base.len() == usize::from(self.fp_mask) + 1;
+        let free_ok = self.free_in.len() == self.bucket_count
+            && self
+                .cells
+                .chunks(self.slots)
+                .zip(&self.free_in)
+                .all(|(b, &free)| b.iter().filter(|&&c| c == 0).count() == free as usize);
+        let alt_ok = self.alt_base.len() == usize::from(self.fp_mask) + 1
+            && self
+                .cells
+                .iter()
+                .all(|&c| c == 0 || c == self.packed(c as u16));
         let filed: usize = self.stash_index.iter().map(Vec::len).sum();
         let index_ok = filed == self.stash.len()
             && self.stash_index.iter().enumerate().all(|(b, list)| {
@@ -406,7 +441,7 @@ impl CuckooFilter {
             .mix(self.len as u64)
             .mix(self.overflows)
             .mix(self.rng.state_digest())
-            .mix_all(self.cells.iter().map(|&c| u64::from(c)))
+            .mix_all(self.cells.iter().map(|&c| u64::from(c as u16)))
             .mix_all(
                 self.stash
                     .iter()
@@ -532,10 +567,10 @@ mod tests {
     fn alt_index_is_involution() {
         let f = CuckooFilter::new(125, 4, 13);
         for key in 0..500u64 {
-            let fp = f.fingerprint(key);
+            let cell = f.packed(f.fingerprint(key));
             let i1 = f.index1(key);
-            let i2 = f.alt_index(i1, fp);
-            assert_eq!(f.alt_index(i2, fp), i1);
+            let i2 = f.alt_of(i1, cell);
+            assert_eq!(f.alt_of(i2, cell), i1);
         }
     }
 
@@ -550,7 +585,7 @@ mod tests {
                     for index in [0, 1, buckets / 2, buckets - 1] {
                         let want = ((h + n - index as u64) % n) as usize;
                         assert_eq!(
-                            f.alt_index(index, fp),
+                            f.alt_of(index, f.packed(fp)),
                             want,
                             "fp_bits {fp_bits}, {buckets} buckets, fp {fp}, index {index}"
                         );

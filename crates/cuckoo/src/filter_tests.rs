@@ -1,6 +1,6 @@
 //! Differential bit-identity tests: [`CuckooFilter`], with its per-bucket
-//! stash index, alternate-bucket table and full-table kick path, against
-//! the plain linear-stash filter it must behave exactly like.
+//! stash index, packed cells and per-bucket free counts, against the
+//! plain linear-stash filter it must behave exactly like.
 
 use sim_core::{SimRng, StateDigest};
 
@@ -247,4 +247,89 @@ fn paper_geometries_match_linear_stash() {
     for (buckets, slots, fp_bits) in [(125, 4, 13), (1000, 2, 11)] {
         drive(buckets, slots, fp_bits, 11, 4_000);
     }
+}
+
+/// Drives both filters with the key stream Trans-FW's tables see under
+/// `vpn_mask_bits = 3`: pages arrive in runs of 8 that share the key
+/// `vpn >> 3`, so a group's later copies kick out copies of their own
+/// fingerprint. After each insert comes a `remove` or `contains` of an
+/// inserted key, or a `contains` of a random one. Every answer and the
+/// digest are compared after every op. Returns the number of stored
+/// fingerprints and the final digest.
+fn drive_page_groups(
+    buckets: usize,
+    slots: usize,
+    fp_bits: u32,
+    seed: u64,
+    groups: u64,
+) -> (usize, u64) {
+    let mut fast = CuckooFilter::new(buckets, slots, fp_bits);
+    let mut slow = Linear::new(buckets, slots, fp_bits);
+    let mut rng = SimRng::new(seed);
+    // One entry per stored copy, so a `remove` always has a copy to take.
+    let mut stored: Vec<u64> = Vec::new();
+    for group in 0..groups {
+        let base = rng.gen_range(1 << 20) << 3;
+        for vpn in base..base + 8 {
+            let key = vpn >> 3;
+            let ctx =
+                format!("{buckets}x{slots}, {fp_bits}-bit, seed {seed}, group {group}, vpn {vpn}");
+            assert_eq!(fast.insert(key), slow.insert(key), "insert: {ctx}");
+            stored.push(key);
+            let roll = rng.gen_range(100);
+            let pick = rng.gen_index(stored.len());
+            if roll < 20 {
+                let old = stored.swap_remove(pick);
+                assert!(slow.remove(old), "reference lost {old}: {ctx}");
+                assert!(fast.remove(old), "remove {old}: {ctx}");
+            } else if roll < 70 {
+                let old = stored[pick];
+                assert!(slow.contains(old), "reference lost {old}: {ctx}");
+                assert!(fast.contains(old), "contains {old}: {ctx}");
+            } else {
+                let probe = rng.gen_range(1 << 20);
+                assert_eq!(
+                    fast.contains(probe),
+                    slow.contains(probe),
+                    "contains {probe}: {ctx}"
+                );
+            }
+            assert_eq!(fast.len(), slow.len, "len: {ctx}");
+            assert_eq!(fast.stash_len(), slow.stash.len(), "stash_len: {ctx}");
+            assert_eq!(
+                fast.overflow_count(),
+                slow.overflows,
+                "overflow_count: {ctx}"
+            );
+            assert_eq!(
+                fast.state_digest(),
+                slow.state_digest(),
+                "state_digest: {ctx}"
+            );
+        }
+    }
+    (slow.len, fast.state_digest())
+}
+
+#[test]
+fn page_group_streams_match_linear_stash() {
+    // The PRT and FT shapes, and 3 buckets, where many keys have both
+    // candidate buckets equal; each driven past 3x its capacity.
+    for (buckets, slots, fp_bits, groups) in
+        [(125, 4, 13, 400), (1000, 2, 11, 1200), (3, 2, 6, 300)]
+    {
+        let (len, _) = drive_page_groups(buckets, slots, fp_bits, 3, groups);
+        assert!(
+            len > 3 * buckets * slots,
+            "{buckets}x{slots}: only {len} stored"
+        );
+    }
+}
+
+#[test]
+fn page_group_stream_digest_is_pinned() {
+    // The FT shape. Recorded from the plain filter, before packed cells and
+    // free counts, so checkpoint digests cannot drift.
+    let (_, digest) = drive_page_groups(1000, 2, 11, 9, 500);
+    assert_eq!(digest, 0x695e_1d2c_6a54_b878);
 }

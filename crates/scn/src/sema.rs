@@ -531,8 +531,13 @@ fn transfw_section(items: &[Item], pos: Pos) -> Result<Option<TransFwKnobs>, Err
         "filters need at least one bucket of fingerprints",
     )?;
     check(
-        (1..=24).contains(&c.prt_fp_bits) && (1..=24).contains(&c.ft_fp_bits),
-        "fingerprint widths must be in 1..=24 bits",
+        (1..=16).contains(&c.prt_fp_bits) && (1..=16).contains(&c.ft_fp_bits),
+        "fingerprint widths must be in 1..=16 bits",
+    )?;
+    check(
+        c.prt_fingerprints.div_ceil(c.prt_slots) <= 1 << 16
+            && c.ft_fingerprints.div_ceil(c.ft_slots) <= 1 << 16,
+        "filters hold at most 65536 buckets",
     )?;
     check(c.vpn_mask_bits <= 24, "vpn_mask_bits must be at most 24")?;
     check(
@@ -1208,6 +1213,14 @@ mod tests {
             (
                 r#"scenario "s" { workload = phase_shift oversub { enabled = true capacity_pages = 0 } }"#,
                 "capacity",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift transfw { enabled = true prt_fp_bits = 20 } }"#,
+                "1..=16 bits",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift transfw { enabled = true ft_fingerprints = 200000 ft_slots = 2 } }"#,
+                "65536 buckets",
             ),
             (r#"scenario "s" { workload = app(name = "nope") }"#, "unknown application"),
             (r#"scenario "s" { workload = phase_shift(scale = 0.0) }"#, "positive"),
