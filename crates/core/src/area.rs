@@ -46,17 +46,12 @@ fn assoc_area_factor(assoc: u64) -> f64 {
 impl AreaModel {
     /// Builds the model from a Trans-FW configuration and explicit TLB
     /// geometries (`entries`, `assoc`).
-    pub fn new(
-        config: &TransFwConfig,
-        l2_tlb: (u64, u64),
-        host_tlb: (u64, u64),
-    ) -> Self {
+    pub fn new(config: &TransFwConfig, l2_tlb: (u64, u64), host_tlb: (u64, u64)) -> Self {
         Self {
             prt_bits: config.prt_fingerprints as u64 * u64::from(config.prt_fp_bits),
             ft_bits: config.ft_fingerprints as u64 * u64::from(config.ft_fp_bits),
             l2_tlb_area: (l2_tlb.0 * TLB_ENTRY_BITS) as f64 * assoc_area_factor(l2_tlb.1),
-            host_tlb_area: (host_tlb.0 * TLB_ENTRY_BITS) as f64
-                * assoc_area_factor(host_tlb.1),
+            host_tlb_area: (host_tlb.0 * TLB_ENTRY_BITS) as f64 * assoc_area_factor(host_tlb.1),
         }
     }
 

@@ -9,7 +9,9 @@ use transfw::{Ft, Prt, TransFwConfig};
 /// fingerprints: `lookup` names `gpu` even though the group was never
 /// registered. Groups are 8 pages wide (the default VPN mask).
 fn find_ft_collider(ft: &mut Ft, gpu: GpuId, from: u64, to: u64) -> Option<u64> {
-    (from..to).map(|g| g * 8).find(|&vpn| ft.lookup(vpn).contains(&gpu))
+    (from..to)
+        .map(|g| g * 8)
+        .find(|&vpn| ft.lookup(vpn).contains(&gpu))
 }
 
 /// A deliberately collision-prone FT: few buckets and narrow fingerprints
@@ -81,7 +83,10 @@ fn prt_stash_overflow_has_no_false_negatives() {
     for &vpn in &groups {
         prt.page_arrived(vpn);
     }
-    assert!(prt.overflow_count() > 0, "700 groups must overflow 500 slots");
+    assert!(
+        prt.overflow_count() > 0,
+        "700 groups must overflow 500 slots"
+    );
     for &vpn in &groups {
         assert!(prt.may_be_local(vpn), "resident group {vpn} denied");
     }

@@ -53,7 +53,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut all_verified = true;
     for (label, cfg) in configs() {
-        #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
+        #[allow(
+            clippy::disallowed_types,
+            reason = "harness timing, never fed into the sim"
+        )]
         let start = std::time::Instant::now();
         let outcome = check(&ProtocolState::new(&cfg), &check_cfg);
         let ms = start.elapsed().as_millis();

@@ -23,7 +23,20 @@ fn main() {
 
     println!(
         "{:7} {:>8} {:>7} {:>7} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} | {:>7} {:>6} {:>6} | {:>7}",
-        "app", "PFPKI", "l2hit", "deg4", "gq", "gw", "hq", "hw", "mig", "net", "fwd", "sup%", "probe", "speedup"
+        "app",
+        "PFPKI",
+        "l2hit",
+        "deg4",
+        "gq",
+        "gw",
+        "hq",
+        "hw",
+        "mig",
+        "net",
+        "fwd",
+        "sup%",
+        "probe",
+        "speedup"
     );
     let rows = parallel_map(opts.apps(), |app| {
         let (bc, m) = average_cycles(&base, &app, &opts);

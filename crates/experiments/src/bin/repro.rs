@@ -86,7 +86,10 @@ fn main() {
             continue;
         }
         eprintln!("running {name}…");
-        #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
+        #[allow(
+            clippy::disallowed_types,
+            reason = "harness timing, never fed into the sim"
+        )]
         let t0 = std::time::Instant::now();
         for report in run(&opts) {
             let _ = writeln!(doc, "```\n{report}```\n");

@@ -40,7 +40,10 @@ fn main() -> ExitCode {
 /// Runs every scenario in `scenarios/<name>.scn` (source `src`) and writes
 /// its BENCH file.
 fn run_file(name: &str, src: &str, args: &SoakArgs) -> Result<(), Vec<String>> {
-    #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "harness timing, never fed into the sim"
+    )]
     let t0 = std::time::Instant::now();
     let mut scenarios = scn::compile(src).map_err(|e| vec![format!("scenarios/{name}.scn:{e}")])?;
     let mut specs = Vec::new();

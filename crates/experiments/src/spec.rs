@@ -109,8 +109,7 @@ mod tests {
     #[test]
     fn run_spec_is_the_same_path_as_run_one() {
         let cfg = SystemConfig::with_transfw();
-        let spec = RunSpec::new(cfg.clone(), WorkloadSpec::app("FIR", 0.05).unwrap())
-            .with_seed(3);
+        let spec = RunSpec::new(cfg.clone(), WorkloadSpec::app("FIR", 0.05).unwrap()).with_seed(3);
         let direct = run_one(cfg, &*spec.workload.build(), 3);
         let via_spec = spec.run().expect("clean run");
         assert_eq!(direct, via_spec, "two paths to System must not exist");
@@ -120,7 +119,10 @@ mod tests {
     fn with_seed_and_scale_round_trip() {
         let spec = RunSpec::new(
             SystemConfig::baseline(),
-            WorkloadSpec::Burst { scale: 1.0, load: 2 },
+            WorkloadSpec::Burst {
+                scale: 1.0,
+                load: 2,
+            },
         )
         .with_seed(9)
         .with_scale(0.05);

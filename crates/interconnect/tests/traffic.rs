@@ -12,7 +12,11 @@ fn page_burst_serialises_but_parallel_links_do_not() {
     }
     let single = f.send_cpu_to_gpu(1, 0, msg::PAGE_4K);
     // Strip propagation latency: serialisation time scales with the burst.
-    assert_eq!(last - 150, 10 * (single - 150), "burst must queue: {last} vs {single}");
+    assert_eq!(
+        last - 150,
+        10 * (single - 150),
+        "burst must queue: {last} vs {single}"
+    );
 }
 
 #[test]

@@ -608,7 +608,10 @@ mod tests {
         let c = SystemConfig::builder()
             .placement(uvm::PolicyKind::PrefetchNeighborhood { radius: 3 })
             .build();
-        assert_eq!(c.placement_kind(), uvm::PolicyKind::PrefetchNeighborhood { radius: 3 });
+        assert_eq!(
+            c.placement_kind(),
+            uvm::PolicyKind::PrefetchNeighborhood { radius: 3 }
+        );
     }
 
     #[test]

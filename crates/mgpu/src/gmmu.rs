@@ -20,8 +20,7 @@ impl System {
         match self.gpus[gpu as usize].queue.push(job, now) {
             Ok(()) => self.events.push(now, Event::GmmuDispatch { gpu }),
             Err(job) => {
-                self.events
-                    .push(now + 64, Event::GmmuEnqueue { gpu, job });
+                self.events.push(now + 64, Event::GmmuEnqueue { gpu, job });
             }
         }
     }
@@ -61,7 +60,10 @@ impl System {
             let start = resume.map_or(levels, |k| k - 1);
             let insert_lo = walk.reached_level.max(2);
             let insert_hi = start.min(levels);
-            self.metrics.gmmu_walk_accesses = self.metrics.gmmu_walk_accesses.saturating_add(u64::from(walk.accesses));
+            self.metrics.gmmu_walk_accesses = self
+                .metrics
+                .gmmu_walk_accesses
+                .saturating_add(u64::from(walk.accesses));
             self.events.push(
                 now + walk_cycles,
                 Event::GmmuWalkDone {
@@ -143,7 +145,8 @@ impl System {
                 if self.gpus[gpu as usize].prt.is_some() {
                     // With short-circuiting enabled every local-walk fault is
                     // a PRT false positive by construction.
-                    self.metrics.transfw.prt_false_positives = self.metrics.transfw.prt_false_positives.saturating_add(1);
+                    self.metrics.transfw.prt_false_positives =
+                        self.metrics.transfw.prt_false_positives.saturating_add(1);
                 }
                 self.send_fault_to_host(req, now);
             }
@@ -166,14 +169,29 @@ impl System {
             // borrowed walk instead of queueing behind its own demand
             // misses. The failure notify keeps the host path live (and
             // feeds the requester's circuit breaker for this peer).
-            self.overload.stats.remote_walks_shed = self.overload.stats.remote_walks_shed.saturating_add(1);
+            self.overload.stats.remote_walks_shed =
+                self.overload.stats.remote_walks_shed.saturating_add(1);
             let now = self.now;
             let notify_at = self.cpu_control_arrival(now);
-            self.send_message(req, notify_at, Event::RemoteNotify { req, success: false });
+            self.send_message(
+                req,
+                notify_at,
+                Event::RemoteNotify {
+                    req,
+                    success: false,
+                },
+            );
             return;
         }
         let gen = self.gpus[gpu as usize].gen;
-        self.gmmu_enqueue(gpu, GmmuJob { req, remote: true, gen });
+        self.gmmu_enqueue(
+            gpu,
+            GmmuJob {
+                req,
+                remote: true,
+                gen,
+            },
+        );
     }
 
     /// A borrowed walk completed on `gpu`: on success, ship the translation
@@ -202,7 +220,8 @@ impl System {
                 },
             );
         } else {
-            self.metrics.transfw.remote_failed = self.metrics.transfw.remote_failed.saturating_add(1);
+            self.metrics.transfw.remote_failed =
+                self.metrics.transfw.remote_failed.saturating_add(1);
         }
         let notify_at = self.cpu_control_arrival(now);
         self.send_message(req, notify_at, Event::RemoteNotify { req, success });
@@ -221,7 +240,8 @@ impl System {
         let vpn = self.reqs[req].vpn;
         self.reqs[req].remote_supplied = true;
         self.retire(req);
-        self.metrics.transfw.remote_supplied = self.metrics.transfw.remote_supplied.saturating_add(1);
+        self.metrics.transfw.remote_supplied =
+            self.metrics.transfw.remote_supplied.saturating_add(1);
         self.map_on_gpu(g, vpn, entry.loc);
         self.dir.add_remote_map(vpn, g);
         self.complete_translation(g, vpn, entry);
@@ -243,7 +263,8 @@ impl System {
         // (which also takes it) can never double-count.
         if let Some(peer) = self.reqs[req].forwarded_to.take() {
             let now = self.now;
-            self.overload.record_forward_outcome(now, peer, req, success);
+            self.overload
+                .record_forward_outcome(now, peer, req, success);
         }
         if success {
             // Never cancel a fallback request: the degraded path must stay
@@ -254,16 +275,19 @@ impl System {
                 && !self.reqs[req].fallback
             {
                 self.reqs[req].cancelled = true;
-                self.metrics.transfw.cancelled_host_walks = self.metrics.transfw.cancelled_host_walks.saturating_add(1);
+                self.metrics.transfw.cancelled_host_walks =
+                    self.metrics.transfw.cancelled_host_walks.saturating_add(1);
             } else if self.reqs[req].host_walk_started {
                 // Both the host walk and the remote walk ran: Fig. 14's
                 // replicated PT-walk.
-                self.metrics.transfw.replicated_walks = self.metrics.transfw.replicated_walks.saturating_add(1);
+                self.metrics.transfw.replicated_walks =
+                    self.metrics.transfw.replicated_walks.saturating_add(1);
             }
         } else {
             // The borrowed walk ran in vain and the host walk proceeds (or
             // already ran): the walk was replicated either way.
-            self.metrics.transfw.replicated_walks = self.metrics.transfw.replicated_walks.saturating_add(1);
+            self.metrics.transfw.replicated_walks =
+                self.metrics.transfw.replicated_walks.saturating_add(1);
         }
     }
 }

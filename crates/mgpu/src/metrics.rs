@@ -478,7 +478,10 @@ mod tests {
             s.record(7, g, false);
         }
         let f = s.access_fraction_by_degree(4);
-        assert!((f[3] - 1.0).abs() < 1e-12, "8-way sharing lands in 4+ bucket");
+        assert!(
+            (f[3] - 1.0).abs() < 1e-12,
+            "8-way sharing lands in 4+ bucket"
+        );
     }
 
     #[test]

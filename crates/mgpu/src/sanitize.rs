@@ -95,10 +95,7 @@ impl System {
                 "sanitize: req {req} (vpn {vpn}, gpu {g}) retired {count} times"
             ));
         }
-        if self.offline_count == 0
-            && !self.injector.plan().perturbs_tables()
-            && !raced_resolution
-        {
+        if self.offline_count == 0 && !self.injector.plan().perturbs_tables() && !raced_resolution {
             let local = self
                 .gpus
                 .get(g as usize)

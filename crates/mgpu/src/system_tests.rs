@@ -69,12 +69,12 @@ fn tiny_cfg() -> SystemConfig {
 fn single_access_local_page_completes_quickly() {
     // One CTA, one access, page pre-placed on GPU 0: L1 miss -> L2 miss ->
     // GMMU walk -> local hit -> data. No faults, no host traffic.
-    let w = Scripted::new(
-        4,
-        1,
-        vec![Access::read(0, 10)],
-    )
-    .with_owners(vec![Some(0), Some(0), Some(0), Some(0)]);
+    let w = Scripted::new(4, 1, vec![Access::read(0, 10)]).with_owners(vec![
+        Some(0),
+        Some(0),
+        Some(0),
+        Some(0),
+    ]);
     let m = System::new(tiny_cfg()).run(&w).unwrap();
     assert_eq!(m.mem_instructions, 1);
     assert_eq!(m.local_faults, 0);
@@ -84,15 +84,18 @@ fn single_access_local_page_completes_quickly() {
     // Latency: compute 10 + L1 1 + L2 10 + walk 5*100 + dram 200, plus
     // dispatch granularity.
     assert!(m.total_cycles >= 10 + 1 + 10 + 500);
-    assert!(m.total_cycles < 2000, "unexpected stalls: {}", m.total_cycles);
+    assert!(
+        m.total_cycles < 2000,
+        "unexpected stalls: {}",
+        m.total_cycles
+    );
 }
 
 #[test]
 fn remote_page_faults_and_migrates() {
     // GPU 0's CTA touches a page owned by GPU 1: exactly one far fault and
     // one migration; the page ends up local.
-    let w = Scripted::new(2, 1, vec![Access::read(0, 5)])
-        .with_owners(vec![Some(1), Some(1)]);
+    let w = Scripted::new(2, 1, vec![Access::read(0, 5)]).with_owners(vec![Some(1), Some(1)]);
     let m = System::new(tiny_cfg()).run(&w).unwrap();
     assert_eq!(m.local_faults, 1);
     assert_eq!(m.directory.migrations, 1);
@@ -115,8 +118,7 @@ fn mshr_coalesces_concurrent_misses_to_same_page() {
     // CTAs 0 and 1 land on GPU 0 (greedy placement of 3 CTAs over 2 GPUs)
     // and touch the same remote page concurrently: their misses coalesce in
     // the L2 MSHR, so at most 2 translation requests exist system-wide.
-    let w = Scripted::new(2, 3, vec![Access::read(0, 5)])
-        .with_owners(vec![Some(1), Some(1)]);
+    let w = Scripted::new(2, 3, vec![Access::read(0, 5)]).with_owners(vec![Some(1), Some(1)]);
     let m = System::new(tiny_cfg()).run(&w).unwrap();
     assert_eq!(m.mem_instructions, 3);
     assert!(
@@ -151,7 +153,8 @@ fn no_fault_ideal_never_faults() {
         },
         ..tiny_cfg()
     })
-    .run(&w).unwrap();
+    .run(&w)
+    .unwrap();
     assert_eq!(m.local_faults, 0);
     assert_eq!(m.directory.migrations, 0);
 }
@@ -167,7 +170,8 @@ fn zero_migration_latency_removes_migration_component() {
         },
         ..tiny_cfg()
     })
-    .run(&w).unwrap();
+    .run(&w)
+    .unwrap();
     assert!(m.local_faults > 0, "faults still happen");
     assert_eq!(m.breakdown.migration, 0, "but cost nothing");
 }
@@ -189,8 +193,7 @@ fn transfw_prt_short_circuits_remote_page() {
 
 #[test]
 fn transfw_prt_lets_local_pages_walk_locally() {
-    let w = Scripted::new(4, 1, vec![Access::read(0, 5)])
-        .with_owners(vec![Some(0); 4]);
+    let w = Scripted::new(4, 1, vec![Access::read(0, 5)]).with_owners(vec![Some(0); 4]);
     let cfg = SystemConfig {
         transfw: Some(TransFwKnobs::full()),
         ..tiny_cfg()
@@ -391,7 +394,10 @@ fn replicate_then_write_collapse_end_to_end() {
     };
     let m = System::new(cfg).run(&RwSplit).unwrap();
     assert!(m.directory.replications >= 1, "reads must replicate");
-    assert!(m.placement.collapses >= 1, "a write must collapse the replica set");
+    assert!(
+        m.placement.collapses >= 1,
+        "a write must collapse the replica set"
+    );
     assert!(m.directory.write_invalidations >= 1);
     assert_eq!(m.resilience.requests_retired, m.translation_requests);
 }
@@ -414,7 +420,10 @@ fn prefetch_skips_vpns_already_pending_in_the_prt() {
     let m = System::new(cfg).run(&w).unwrap();
     assert_eq!(m.directory.migrations, 1, "the demand page migrates");
     assert_eq!(m.placement.prefetched_pages, 0, "whole group is pending");
-    assert_eq!(m.placement.prefetch_skipped_pending, 7, "9..=15 all skipped");
+    assert_eq!(
+        m.placement.prefetch_skipped_pending, 7,
+        "9..=15 all skipped"
+    );
 
     // Without a PRT only the page-table check gates: page 9 (mapped on the
     // destination) is skipped, the untouched source-homed 10..=15 move.
@@ -425,7 +434,10 @@ fn prefetch_skips_vpns_already_pending_in_the_prt() {
     };
     let m = System::new(cfg).run(&w).unwrap();
     assert_eq!(m.placement.prefetched_pages, 6, "10..=15 travel along");
-    assert_eq!(m.placement.prefetch_skipped_pending, 1, "only page 9 pending");
+    assert_eq!(
+        m.placement.prefetch_skipped_pending, 1,
+        "only page 9 pending"
+    );
     assert_eq!(m.directory.prefetches, 6);
 }
 
@@ -495,7 +507,10 @@ fn access_counter_promotion_commits_as_a_transaction() {
     // Both translation requests far-fault to the host (GPU 1's PRT no
     // longer lists the page) and remote-map it.
     assert_eq!(m.translation_requests, 2);
-    assert_eq!(m.directory.remote_maps, 2, "GPU 1's mapping must be gone after the promotion");
+    assert_eq!(
+        m.directory.remote_maps, 2,
+        "GPU 1's mapping must be gone after the promotion"
+    );
     assert_eq!(
         m.placement.transactions,
         m.translation_requests + m.directory.promotions,

@@ -281,7 +281,10 @@ impl Stc {
             (levels - 1) as usize,
             "need one capacity per cached level"
         );
-        assert!(capacities.iter().all(|&c| c > 0), "capacities must be positive");
+        assert!(
+            capacities.iter().all(|&c| c > 0),
+            "capacities must be positive"
+        );
         Self {
             arrays: capacities.iter().map(|&c| LruArray::new(c)).collect(),
             levels,
@@ -428,7 +431,7 @@ mod tests {
     fn utc_prefix_sharing_across_vpns() {
         let mut utc = Utc::new(16, 5);
         utc.insert(0, 2); // tag = 0 >> 9 = 0
-        // A neighbouring page in the same leaf table shares the L2 entry.
+                          // A neighbouring page in the same leaf table shares the L2 entry.
         assert_eq!(utc.lookup(1), Some(2));
         // A page in a different leaf table does not.
         assert_eq!(utc.lookup(1 << BITS_PER_LEVEL), None);

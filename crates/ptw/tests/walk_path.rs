@@ -44,7 +44,7 @@ fn utc_cuts_accesses_on_locality() {
 }
 
 #[test]
-fn stc_behaves_like_utc_on_small_working_sets(){
+fn stc_behaves_like_utc_on_small_working_sets() {
     let mut pt = PageTable::new(5);
     for vpn in 0..64 {
         pt.insert(vpn, Pte::new(vpn, Location::Gpu(0)));
@@ -101,7 +101,11 @@ fn queue_pressure_is_visible_in_wait_stats() {
         pool.release();
     }
     // Later requests waited multiple walk rounds.
-    assert!(queue.waiting().max() >= 1500, "max wait {}", queue.waiting().max());
+    assert!(
+        queue.waiting().max() >= 1500,
+        "max wait {}",
+        queue.waiting().max()
+    );
     assert!(queue.waiting().mean() > 500.0);
 }
 

@@ -169,8 +169,8 @@ mod tests {
 
     #[test]
     fn errors_display_as_line_col_message() {
-        let e = compile("scenario \"s\" {\n  bogus_key = 1\n  workload = phase_shift\n}")
-            .unwrap_err();
+        let e =
+            compile("scenario \"s\" {\n  bogus_key = 1\n  workload = phase_shift\n}").unwrap_err();
         assert_eq!(e.pos.line, 2);
         assert!(e.to_string().starts_with("2:3: "), "{e}");
     }

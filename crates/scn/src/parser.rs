@@ -200,9 +200,7 @@ impl Parser<'_> {
             // `ident =` starts a named argument; a bare ident (or anything
             // else) is a positional value.
             let name = match &self.peek().kind {
-                TokKind::Ident(s)
-                    if self.toks.get(self.i + 1).is_some_and(|t| t.is_punct('=')) =>
-                {
+                TokKind::Ident(s) if self.toks.get(self.i + 1).is_some_and(|t| t.is_punct('=')) => {
                     let s = s.clone();
                     self.bump();
                     self.bump();
@@ -294,7 +292,11 @@ mod tests {
 
     #[test]
     fn deep_nesting_is_rejected() {
-        let src = format!(r#"scenario "s" {{ a = {}1{} }}"#, "[".repeat(100), "]".repeat(100));
+        let src = format!(
+            r#"scenario "s" {{ a = {}1{} }}"#,
+            "[".repeat(100),
+            "]".repeat(100)
+        );
         let e = parse_src(&src).unwrap_err();
         assert!(e.msg.contains("nesting too deep"));
     }

@@ -142,7 +142,14 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
         }
     }
     const TOP_KEYS: [&str; 9] = [
-        "seeds", "scale", "placement", "workload", "faults", "system", "transfw", "overload",
+        "seeds",
+        "scale",
+        "placement",
+        "workload",
+        "faults",
+        "system",
+        "transfw",
+        "overload",
         "oversub",
     ];
     for item in &decl.items {
@@ -237,7 +244,10 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
         None => (vec![FaultPlan::none()], decl.pos),
     };
     if placements.is_empty() {
-        return Err(Error::at(decl.pos, "placement list must be nonempty".into()));
+        return Err(Error::at(
+            decl.pos,
+            "placement list must be nonempty".into(),
+        ));
     }
 
     // Cross-cutting checks that need the whole scenario: fault topology
@@ -438,12 +448,7 @@ fn system_key(cfg: &mut SystemConfig, key: &str, v: &Value) -> Result<(), Error>
         "least_tlb" => cfg.least_tlb = want_bool(v)?,
         "sanitize" => cfg.sanitize = want_bool(v)?,
         "checkpoint_interval" => cfg.checkpoint_interval = want_opt(v, want_u64)?,
-        other => {
-            return Err(Error::at(
-                v.pos,
-                format!("unknown system key `{other}`"),
-            ))
-        }
+        other => return Err(Error::at(v.pos, format!("unknown system key `{other}`"))),
     }
     Ok(())
 }
@@ -463,11 +468,7 @@ fn ideal_section(ideal: &mut mgpu::IdealKnobs, items: &[Item]) -> Result<(), Err
     Ok(())
 }
 
-fn watchdog_section(
-    wd: &mut mgpu::WatchdogConfig,
-    items: &[Item],
-    pos: Pos,
-) -> Result<(), Error> {
+fn watchdog_section(wd: &mut mgpu::WatchdogConfig, items: &[Item], pos: Pos) -> Result<(), Error> {
     for (key, item) in index_items(items)? {
         let v = binding_value(item)?;
         match key {
@@ -483,10 +484,16 @@ fn watchdog_section(
     }
     if wd.enabled {
         if wd.request_timeout == 0 {
-            return Err(Error::at(pos, "watchdog request_timeout must be positive".into()));
+            return Err(Error::at(
+                pos,
+                "watchdog request_timeout must be positive".into(),
+            ));
         }
         if wd.liveness_interval == 0 {
-            return Err(Error::at(pos, "watchdog liveness_interval must be positive".into()));
+            return Err(Error::at(
+                pos,
+                "watchdog liveness_interval must be positive".into(),
+            ));
         }
     }
     Ok(())
@@ -525,7 +532,10 @@ fn transfw_section(items: &[Item], pos: Pos) -> Result<Option<TransFwKnobs>, Err
             Err(Error::at(pos, msg.into()))
         }
     };
-    check(c.prt_slots > 0 && c.ft_slots > 0, "filter slot counts must be positive")?;
+    check(
+        c.prt_slots > 0 && c.ft_slots > 0,
+        "filter slot counts must be positive",
+    )?;
     check(
         c.prt_fingerprints >= c.prt_slots && c.ft_fingerprints >= c.ft_slots,
         "filters need at least one bucket of fingerprints",
@@ -547,11 +557,7 @@ fn transfw_section(items: &[Item], pos: Pos) -> Result<Option<TransFwKnobs>, Err
     Ok(Some(knobs))
 }
 
-fn overload_section(
-    ov: &mut mgpu::OverloadConfig,
-    items: &[Item],
-    pos: Pos,
-) -> Result<(), Error> {
+fn overload_section(ov: &mut mgpu::OverloadConfig, items: &[Item], pos: Pos) -> Result<(), Error> {
     for (key, item) in index_items(items)? {
         let v = binding_value(item)?;
         match key {
@@ -587,8 +593,14 @@ fn overload_section(
                 Err(Error::at(pos, msg.into()))
             }
         };
-        check(ov.host_queue_low <= ov.host_queue_high, "host queue watermarks inverted")?;
-        check(ov.gpu_queue_low <= ov.gpu_queue_high, "gpu queue watermarks inverted")?;
+        check(
+            ov.host_queue_low <= ov.host_queue_high,
+            "host queue watermarks inverted",
+        )?;
+        check(
+            ov.gpu_queue_low <= ov.gpu_queue_high,
+            "gpu queue watermarks inverted",
+        )?;
         check(ov.mshr_low <= ov.mshr_high, "MSHR watermarks inverted")?;
         check(ov.backoff_base > 0, "backoff base must be positive")?;
         check(ov.backoff_cap >= ov.backoff_base, "backoff cap below base")?;
@@ -611,11 +623,7 @@ fn overload_section(
     Ok(())
 }
 
-fn oversub_section(
-    os: &mut mgpu::OversubConfig,
-    items: &[Item],
-    pos: Pos,
-) -> Result<(), Error> {
+fn oversub_section(os: &mut mgpu::OversubConfig, items: &[Item], pos: Pos) -> Result<(), Error> {
     for (key, item) in index_items(items)? {
         let v = binding_value(item)?;
         match key {
@@ -652,7 +660,10 @@ fn oversub_section(
             }
         };
         check(os.capacity_pages > 0, "capacity must be positive")?;
-        check(os.thrash_low <= os.thrash_high, "thrash watermarks inverted")?;
+        check(
+            os.thrash_low <= os.thrash_high,
+            "thrash watermarks inverted",
+        )?;
         check(os.refault_window > 0, "refault window must be positive")?;
     }
     Ok(())
@@ -710,7 +721,10 @@ fn placement_value(v: &Value) -> Result<PolicyKind, Error> {
             let m = bind_args(name, v.pos, args, &["threshold"])?;
             let threshold = want_u32(req(&m, name, v.pos, "threshold")?)?;
             if threshold == 0 {
-                return Err(Error::at(v.pos, "migration threshold must be positive".into()));
+                return Err(Error::at(
+                    v.pos,
+                    "migration threshold must be positive".into(),
+                ));
             }
             Ok(PolicyKind::DelayedMigration { threshold })
         }
@@ -754,9 +768,8 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
             let m = bind_args(name, v.pos, args, &["name", "scale"])?;
             let app_name = want_str(req(&m, name, v.pos, "name")?)?;
             let scale = scale_of(&m)?;
-            WorkloadSpec::app(app_name, scale).ok_or_else(|| {
-                Error::at(v.pos, format!("unknown application \"{app_name}\""))
-            })
+            WorkloadSpec::app(app_name, scale)
+                .ok_or_else(|| Error::at(v.pos, format!("unknown application \"{app_name}\"")))
         }
         "uniform" => {
             let m = bind_args(
@@ -786,7 +799,9 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
         }
         "phase_shift" => {
             let m = bind_args(name, v.pos, args, &["scale"])?;
-            Ok(WorkloadSpec::PhaseShift { scale: scale_of(&m)? })
+            Ok(WorkloadSpec::PhaseShift {
+                scale: scale_of(&m)?,
+            })
         }
         "burst" => {
             let m = bind_args(name, v.pos, args, &["scale", "load"])?;
@@ -800,11 +815,16 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
                 }
                 None => 1,
             };
-            Ok(WorkloadSpec::Burst { scale: scale_of(&m)?, load })
+            Ok(WorkloadSpec::Burst {
+                scale: scale_of(&m)?,
+                load,
+            })
         }
         "oversub_shift" => {
             let m = bind_args(name, v.pos, args, &["scale"])?;
-            Ok(WorkloadSpec::OversubShift { scale: scale_of(&m)? })
+            Ok(WorkloadSpec::OversubShift {
+                scale: scale_of(&m)?,
+            })
         }
         other => Err(Error::at(v.pos, format!("unknown workload `{other}`"))),
     }
@@ -1093,10 +1113,7 @@ fn want_ident(v: &Value) -> Result<&str, Error> {
 }
 
 /// `none` or a value parsed by `inner`.
-fn want_opt<T>(
-    v: &Value,
-    inner: impl Fn(&Value) -> Result<T, Error>,
-) -> Result<Option<T>, Error> {
+fn want_opt<T>(v: &Value, inner: impl Fn(&Value) -> Result<T, Error>) -> Result<Option<T>, Error> {
     match &v.kind {
         ValueKind::Ident(s) if s == "none" => Ok(None),
         _ => inner(v).map(Some),
@@ -1116,10 +1133,7 @@ mod tests {
         assert_eq!(sc.base.seed, 0, "seed is normalised out of the base");
         assert!(sc.base.transfw.is_none());
         assert_eq!(sc.placements, vec![PolicyKind::FirstTouch]);
-        assert_eq!(
-            sc.workloads,
-            vec![WorkloadSpec::app("KM", 1.0).unwrap()]
-        );
+        assert_eq!(sc.workloads, vec![WorkloadSpec::app("KM", 1.0).unwrap()]);
         assert_eq!(sc.faults, vec![FaultPlan::none()]);
     }
 
@@ -1154,7 +1168,10 @@ mod tests {
         assert_eq!(sc.seeds, vec![1, 2]);
         assert_eq!(sc.base.transfw, Some(TransFwKnobs::full()));
         assert_eq!(sc.placements.len(), 4);
-        assert_eq!(sc.placements[1], PolicyKind::DelayedMigration { threshold: 4 });
+        assert_eq!(
+            sc.placements[1],
+            PolicyKind::DelayedMigration { threshold: 4 }
+        );
         let cells = sc.cells();
         assert_eq!(cells.len(), 16);
         assert_eq!(cells[0].label, "first-touch/AES");
@@ -1176,7 +1193,11 @@ mod tests {
         assert_eq!(sc.faults[1], FaultPlan::message_loss(38, 0.02));
         assert_eq!(
             sc.faults[2].component_events,
-            vec![ComponentEvent::GpuOffline { gpu: 1, at_cycle: 1000, duration: 500 }]
+            vec![ComponentEvent::GpuOffline {
+                gpu: 1,
+                at_cycle: 1000,
+                duration: 500
+            }]
         );
         let cells = sc.cells();
         assert_eq!(cells.len(), 3);
@@ -1188,8 +1209,14 @@ mod tests {
     #[test]
     fn validation_mirrors_are_errors_not_panics() {
         let cases: &[(&str, &str)] = &[
-            (r#"scenario "s" { workload = phase_shift system { gpus = 0 } }"#, "at least one GPU"),
-            (r#"scenario "s" { workload = phase_shift system { gpus = 65 } }"#, "at most 64 GPUs"),
+            (
+                r#"scenario "s" { workload = phase_shift system { gpus = 0 } }"#,
+                "at least one GPU",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift system { gpus = 65 } }"#,
+                "at most 64 GPUs",
+            ),
             (
                 r#"scenario "s" { workload = phase_shift system { l2_tlb_entries = 100 } }"#,
                 "associativity",
@@ -1222,11 +1249,26 @@ mod tests {
                 r#"scenario "s" { workload = phase_shift transfw { enabled = true ft_fingerprints = 200000 ft_slots = 2 } }"#,
                 "65536 buckets",
             ),
-            (r#"scenario "s" { workload = app(name = "nope") }"#, "unknown application"),
-            (r#"scenario "s" { workload = phase_shift(scale = 0.0) }"#, "positive"),
-            (r#"scenario "s" { workload = phase_shift seeds = 0 }"#, "positive"),
-            (r#"scenario "s" { workload = phase_shift gpus = 8 }"#, "unknown scenario key"),
-            (r#"scenario "s" { workload = phase_shift workload = burst }"#, "duplicate key"),
+            (
+                r#"scenario "s" { workload = app(name = "nope") }"#,
+                "unknown application",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift(scale = 0.0) }"#,
+                "positive",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift seeds = 0 }"#,
+                "positive",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift gpus = 8 }"#,
+                "unknown scenario key",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift workload = burst }"#,
+                "duplicate key",
+            ),
         ];
         for (src, needle) in cases {
             let e = compile_one(src).expect_err(src);
@@ -1257,10 +1299,9 @@ mod tests {
 
     #[test]
     fn disabled_transfw_section_is_baseline() {
-        let sc = compile_one(
-            r#"scenario "s" { workload = phase_shift transfw { enabled = false } }"#,
-        )
-        .unwrap();
+        let sc =
+            compile_one(r#"scenario "s" { workload = phase_shift transfw { enabled = false } }"#)
+                .unwrap();
         assert!(sc.base.transfw.is_none());
     }
 }

@@ -40,7 +40,10 @@ pub struct StateDigest {
 impl StateDigest {
     /// A fresh digest.
     pub fn new() -> Self {
-        Self { acc: 0x7261_6E73_2D46_5721, count: 0 }
+        Self {
+            acc: 0x7261_6E73_2D46_5721,
+            count: 0,
+        }
     }
 
     /// Folds one 64-bit word into the digest.
@@ -203,8 +206,16 @@ mod tests {
     fn log_records_in_order() {
         let mut log = CheckpointLog::new();
         assert!(log.is_empty());
-        log.record(EpochCheckpoint { epoch: 0, cycle: 100, digest: 1 });
-        log.record(EpochCheckpoint { epoch: 1, cycle: 200, digest: 2 });
+        log.record(EpochCheckpoint {
+            epoch: 0,
+            cycle: 100,
+            digest: 1,
+        });
+        log.record(EpochCheckpoint {
+            epoch: 1,
+            cycle: 200,
+            digest: 2,
+        });
         assert_eq!(log.len(), 2);
         assert_eq!(log.last().unwrap().cycle, 200);
     }
@@ -213,33 +224,69 @@ mod tests {
     #[should_panic(expected = "in order")]
     fn log_rejects_out_of_order_epochs() {
         let mut log = CheckpointLog::new();
-        log.record(EpochCheckpoint { epoch: 3, cycle: 100, digest: 1 });
+        log.record(EpochCheckpoint {
+            epoch: 3,
+            cycle: 100,
+            digest: 1,
+        });
     }
 
     #[test]
     fn verify_prefix_accepts_identical_and_longer_logs() {
         let mut crashed = CheckpointLog::new();
-        crashed.record(EpochCheckpoint { epoch: 0, cycle: 100, digest: 11 });
-        crashed.record(EpochCheckpoint { epoch: 1, cycle: 200, digest: 22 });
+        crashed.record(EpochCheckpoint {
+            epoch: 0,
+            cycle: 100,
+            digest: 11,
+        });
+        crashed.record(EpochCheckpoint {
+            epoch: 1,
+            cycle: 200,
+            digest: 22,
+        });
         let mut restored = crashed.clone();
         assert!(crashed.verify_prefix_of(&restored).is_ok());
-        restored.record(EpochCheckpoint { epoch: 2, cycle: 300, digest: 33 });
+        restored.record(EpochCheckpoint {
+            epoch: 2,
+            cycle: 300,
+            digest: 33,
+        });
         assert!(crashed.verify_prefix_of(&restored).is_ok());
     }
 
     #[test]
     fn verify_prefix_rejects_divergence_and_truncation() {
         let mut crashed = CheckpointLog::new();
-        crashed.record(EpochCheckpoint { epoch: 0, cycle: 100, digest: 11 });
-        crashed.record(EpochCheckpoint { epoch: 1, cycle: 200, digest: 22 });
+        crashed.record(EpochCheckpoint {
+            epoch: 0,
+            cycle: 100,
+            digest: 11,
+        });
+        crashed.record(EpochCheckpoint {
+            epoch: 1,
+            cycle: 200,
+            digest: 22,
+        });
 
         let mut diverged = CheckpointLog::new();
-        diverged.record(EpochCheckpoint { epoch: 0, cycle: 100, digest: 11 });
-        diverged.record(EpochCheckpoint { epoch: 1, cycle: 200, digest: 99 });
+        diverged.record(EpochCheckpoint {
+            epoch: 0,
+            cycle: 100,
+            digest: 11,
+        });
+        diverged.record(EpochCheckpoint {
+            epoch: 1,
+            cycle: 200,
+            digest: 99,
+        });
         assert!(crashed.verify_prefix_of(&diverged).is_err());
 
         let mut short = CheckpointLog::new();
-        short.record(EpochCheckpoint { epoch: 0, cycle: 100, digest: 11 });
+        short.record(EpochCheckpoint {
+            epoch: 0,
+            cycle: 100,
+            digest: 11,
+        });
         assert!(crashed.verify_prefix_of(&short).is_err());
     }
 }

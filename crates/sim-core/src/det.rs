@@ -46,7 +46,9 @@ pub struct DetMap<K, V> {
 impl<K: Ord, V> DetMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        Self { inner: BTreeMap::new() }
+        Self {
+            inner: BTreeMap::new(),
+        }
     }
 
     /// Creates an empty map; the capacity hint is accepted for call-site
@@ -140,7 +142,9 @@ impl<K: Ord, V> Default for DetMap<K, V> {
 
 impl<K: Ord, V> FromIterator<(K, V)> for DetMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        Self { inner: iter.into_iter().collect() }
+        Self {
+            inner: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -173,7 +177,9 @@ pub struct DetSet<T> {
 impl<T: Ord> DetSet<T> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self { inner: BTreeSet::new() }
+        Self {
+            inner: BTreeSet::new(),
+        }
     }
 
     /// Inserts `value`; returns whether it was newly inserted.
@@ -220,7 +226,9 @@ impl<T: Ord> Default for DetSet<T> {
 
 impl<T: Ord> FromIterator<T> for DetSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        Self { inner: iter.into_iter().collect() }
+        Self {
+            inner: iter.into_iter().collect(),
+        }
     }
 }
 

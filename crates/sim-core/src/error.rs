@@ -69,12 +69,20 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = SimError::Livelock { cycle: 42, outstanding: 3 };
+        let e = SimError::Livelock {
+            cycle: 42,
+            outstanding: 3,
+        };
         let s = e.to_string();
         assert!(s.contains("42") && s.contains("3"), "{s}");
         assert!(SimError::Config("x".into()).to_string().contains('x'));
-        assert!(SimError::InvariantViolation("leak".into()).to_string().contains("leak"));
-        let p = SimError::Protocol { cycle: 7, what: "no stream".into() };
+        assert!(SimError::InvariantViolation("leak".into())
+            .to_string()
+            .contains("leak"));
+        let p = SimError::Protocol {
+            cycle: 7,
+            what: "no stream".into(),
+        };
         assert!(p.to_string().contains("no stream"));
     }
 
@@ -86,7 +94,10 @@ mod tests {
 
     #[test]
     fn eq_and_clone() {
-        let a = SimError::CycleCapExceeded { cap: 10, outstanding: 1 };
+        let a = SimError::CycleCapExceeded {
+            cap: 10,
+            outstanding: 1,
+        };
         assert_eq!(a.clone(), a);
         assert_ne!(a, SimError::Config("bad".into()));
     }

@@ -92,7 +92,12 @@ impl MigrationLog {
 
     /// A log retaining up to `cap` events verbatim.
     pub fn with_capacity(cap: usize) -> Self {
-        Self { events: Vec::new(), cap, dropped: 0, latency: LatencyAccumulator::default() }
+        Self {
+            events: Vec::new(),
+            cap,
+            dropped: 0,
+            latency: LatencyAccumulator::default(),
+        }
     }
 
     /// Records one movement.
@@ -137,7 +142,14 @@ mod tests {
     use super::*;
 
     fn ev(vpn: u64, issued: Cycle, completed: Cycle, kind: MigrationKind) -> MigrationEvent {
-        MigrationEvent { vpn, src: None, dst: 0, issued, completed, kind }
+        MigrationEvent {
+            vpn,
+            src: None,
+            dst: 0,
+            issued,
+            completed,
+            kind,
+        }
     }
 
     #[test]
@@ -157,7 +169,11 @@ mod tests {
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.dropped(), 3);
         assert_eq!(log.total(), 5);
-        assert_eq!(log.latency().count(), 5, "latency stats cover dropped events");
+        assert_eq!(
+            log.latency().count(),
+            5,
+            "latency stats cover dropped events"
+        );
         assert_eq!(log.latency().mean(), 10.0);
     }
 

@@ -47,14 +47,14 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--gpus" => args.gpus = val("--gpus")?.parse().map_err(|e| format!("--gpus: {e}"))?,
             "--vpns" => args.vpns = val("--vpns")?.parse().map_err(|e| format!("--vpns: {e}"))?,
             "--inflight" => {
-                args.inflight = val("--inflight")?.parse().map_err(|e| format!("--inflight: {e}"))?;
+                args.inflight = val("--inflight")?
+                    .parse()
+                    .map_err(|e| format!("--inflight: {e}"))?;
             }
             "--policy" => {
                 let name = val("--policy")?;
@@ -62,15 +62,23 @@ fn parse_args() -> Result<Args, String> {
                     Some(policy_by_name(&name).ok_or_else(|| format!("unknown policy {name:?}"))?);
             }
             "--budget" => {
-                args.budget = val("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
+                args.budget = val("--budget")?
+                    .parse()
+                    .map_err(|e| format!("--budget: {e}"))?;
             }
             "--failure" => {
-                args.failure =
-                    Some(val("--failure")?.parse().map_err(|e| format!("--failure: {e}"))?);
+                args.failure = Some(
+                    val("--failure")?
+                        .parse()
+                        .map_err(|e| format!("--failure: {e}"))?,
+                );
             }
             "--capacity" => {
-                args.capacity =
-                    Some(val("--capacity")?.parse().map_err(|e| format!("--capacity: {e}"))?);
+                args.capacity = Some(
+                    val("--capacity")?
+                        .parse()
+                        .map_err(|e| format!("--capacity: {e}"))?,
+                );
             }
             "--help" | "-h" => {
                 println!(
@@ -88,7 +96,10 @@ fn parse_args() -> Result<Args, String> {
 
 /// Runs one configuration and reports; returns whether it verified.
 fn run_one(label: &str, cfg: &ModelConfig, check_cfg: &CheckConfig) -> bool {
-    #[allow(clippy::disallowed_types, reason = "harness timing, never fed into the sim")]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "harness timing, never fed into the sim"
+    )]
     let start = std::time::Instant::now();
     let outcome = check(&ProtocolState::new(cfg), check_cfg);
     let ms = start.elapsed().as_millis();
@@ -166,8 +177,9 @@ fn main() {
         // evict-vs-in-flight-forward race is explored exhaustively.
         // (First-touch scope: the exact-count FT model would double-count a
         // replica promoted to home, a benign lossiness in the real filter.)
-        let capacity = ModelConfig::small(args.gpus, args.vpns, args.inflight, PolicyKind::FirstTouch)
-            .with_capacity(args.capacity.unwrap_or(1));
+        let capacity =
+            ModelConfig::small(args.gpus, args.vpns, args.inflight, PolicyKind::FirstTouch)
+                .with_capacity(args.capacity.unwrap_or(1));
         ok &= run_one("first-touch+capacity", &capacity, &check_cfg);
     }
     if !ok {

@@ -104,12 +104,7 @@ fn stale_forward_after_commit_is_found() {
     // the request wedges forever: a liveness violation under fairness.
     let mut cfg = ModelConfig::small(2, 3, 1, PolicyKind::FirstTouch).with_failure(0);
     cfg.reqs = vec![(1, 2, false)];
-    assert_found(
-        &cfg,
-        Mutation::StaleForwardAfterCommit,
-        500_000,
-        "deadlock",
-    );
+    assert_found(&cfg, Mutation::StaleForwardAfterCommit, 500_000, "deadlock");
 }
 
 #[test]
@@ -117,12 +112,7 @@ fn lost_generation_bump_is_found() {
     // A stale (pre-eviction) walk completion releases a walker from the
     // force-reset pool: the count goes negative.
     let cfg = ModelConfig::small(2, 3, 1, PolicyKind::FirstTouch).with_failure(0);
-    assert_found(
-        &cfg,
-        Mutation::LostGenerationBump,
-        200_000,
-        "txn-atomicity",
-    );
+    assert_found(&cfg, Mutation::LostGenerationBump, 200_000, "txn-atomicity");
 }
 
 #[test]
@@ -149,10 +139,5 @@ fn prefetch_pending_vpn_is_found() {
     let mut cfg = ModelConfig::small(2, 2, 1, PolicyKind::PrefetchNeighborhood { radius: 1 });
     cfg.warm = vec![None, Some(0)];
     cfg.reqs = vec![(1, 0, false)];
-    assert_found(
-        &cfg,
-        Mutation::PrefetchPendingVpn,
-        200_000,
-        "txn-atomicity",
-    );
+    assert_found(&cfg, Mutation::PrefetchPendingVpn, 200_000, "txn-atomicity");
 }

@@ -27,10 +27,7 @@ fn counterexample_text_round_trips() {
     assert_eq!(back.tag(), "retire-exactly-once");
     // Every step is a decodable action token.
     for step in &back.steps {
-        assert!(
-            Action::decode(step).is_some(),
-            "undecodable step {step:?}"
-        );
+        assert!(Action::decode(step).is_some(), "undecodable step {step:?}");
     }
 }
 
@@ -74,5 +71,8 @@ fn clean_replay_of_a_full_schedule_reports_no_violations() {
     .map(|s| (*s).to_string())
     .collect();
     let violations = model::replay(&cfg, &steps).expect("legal schedule");
-    assert!(violations.is_empty(), "unexpected violations: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "unexpected violations: {violations:?}"
+    );
 }

@@ -25,7 +25,11 @@ fn two_level_lookup_flow() {
     // Touch 8 pages twice: 8 walks, second round served by L2 (L1 too small).
     for round in 0..2 {
         for vpn in 0..8 {
-            assert_eq!(translate(vpn, &mut l1, &mut l2), vpn + 1000, "round {round}");
+            assert_eq!(
+                translate(vpn, &mut l1, &mut l2),
+                vpn + 1000,
+                "round {round}"
+            );
         }
     }
     assert_eq!(walks, 8, "L2 must absorb the second round");

@@ -24,8 +24,8 @@ fn replication_stops_read_ping_pong() {
     let mut dir = PageDirectory::with_policy(2, PolicyKind::ReadDuplicate);
     dir.resolve_fault(0, 0, false);
     dir.resolve_fault(0, 1, false); // replica
-    // Further reads are already resident on both GPUs: no faults resolve to
-    // data movement.
+                                    // Further reads are already resident on both GPUs: no faults resolve to
+                                    // data movement.
     for g in 0..2 {
         let out = dir.resolve_fault(0, g, false);
         assert_eq!(out.kind, TxnKind::AlreadyResident);
@@ -72,7 +72,9 @@ fn remote_mapping_defers_until_threshold() {
             "access {i} below threshold"
         );
     }
-    let promo = dir.record_remote_access(0, 1).expect("fifth access promotes");
+    let promo = dir
+        .record_remote_access(0, 1)
+        .expect("fifth access promotes");
     assert_eq!(promo.kind, TxnKind::Migrate);
     assert_eq!(dir.home(0), Location::Gpu(1));
     // Counter resets after migration: home GPU accesses never promote.

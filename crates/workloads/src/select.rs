@@ -135,10 +135,7 @@ impl WorkloadSpec {
                 write_frac,
                 ..
             } => {
-                *pages > 0
-                    && *ctas > 0
-                    && *accesses_per_cta > 0
-                    && (0.0..=1.0).contains(write_frac)
+                *pages > 0 && *ctas > 0 && *accesses_per_cta > 0 && (0.0..=1.0).contains(write_frac)
             }
             WorkloadSpec::PhaseShift { .. }
             | WorkloadSpec::Burst { .. }
@@ -168,16 +165,14 @@ impl WorkloadSpec {
                 accesses_per_cta,
                 write_frac,
                 scale,
-            } => Box::new(
-                uniform_spec(*pages, *ctas, *accesses_per_cta, *write_frac).scaled(*scale),
-            ),
+            } => {
+                Box::new(uniform_spec(*pages, *ctas, *accesses_per_cta, *write_frac).scaled(*scale))
+            }
             WorkloadSpec::PhaseShift { scale } => Box::new(crate::phase_shift().scaled(*scale)),
             WorkloadSpec::Burst { scale, load } => {
                 Box::new(crate::burst().scaled(*scale).with_load(*load))
             }
-            WorkloadSpec::OversubShift { scale } => {
-                Box::new(crate::oversub_shift().scaled(*scale))
-            }
+            WorkloadSpec::OversubShift { scale } => Box::new(crate::oversub_shift().scaled(*scale)),
         }
     }
 
@@ -235,7 +230,10 @@ mod tests {
         let specs = [
             WorkloadSpec::app("MT", 1.0).unwrap(),
             WorkloadSpec::PhaseShift { scale: 1.0 },
-            WorkloadSpec::Burst { scale: 1.0, load: 8 },
+            WorkloadSpec::Burst {
+                scale: 1.0,
+                load: 8,
+            },
             WorkloadSpec::OversubShift { scale: 1.0 },
             WorkloadSpec::Uniform {
                 pages: 128,
@@ -269,9 +267,17 @@ mod tests {
 
     #[test]
     fn validity_checks() {
-        assert!(!WorkloadSpec::App { name: "nope".into(), scale: 1.0 }.is_valid());
+        assert!(!WorkloadSpec::App {
+            name: "nope".into(),
+            scale: 1.0
+        }
+        .is_valid());
         assert!(!WorkloadSpec::PhaseShift { scale: 0.0 }.is_valid());
-        assert!(WorkloadSpec::Burst { scale: 0.1, load: 1 }.is_valid());
+        assert!(WorkloadSpec::Burst {
+            scale: 0.1,
+            load: 1
+        }
+        .is_valid());
         assert!(!WorkloadSpec::Uniform {
             pages: 0,
             ctas: 1,
@@ -284,7 +290,17 @@ mod tests {
 
     #[test]
     fn labels_distinguish_cells() {
-        assert_eq!(WorkloadSpec::Burst { scale: 0.1, load: 2 }.label(), "burst@2x");
-        assert_eq!(WorkloadSpec::PhaseShift { scale: 0.1 }.label(), "PhaseShift");
+        assert_eq!(
+            WorkloadSpec::Burst {
+                scale: 0.1,
+                load: 2
+            }
+            .label(),
+            "burst@2x"
+        );
+        assert_eq!(
+            WorkloadSpec::PhaseShift { scale: 0.1 }.label(),
+            "PhaseShift"
+        );
     }
 }

@@ -168,14 +168,20 @@ fn cta_streams_differ_across_ctas() {
 
 #[test]
 fn ml_models_have_dominant_shared_weight_traffic() {
-    for m in [workloads::vgg16().scaled(0.3), workloads::resnet18().scaled(0.3)] {
+    for m in [
+        workloads::vgg16().scaled(0.3),
+        workloads::resnet18().scaled(0.3),
+    ] {
         let mut shared_accesses = 0u64;
         let mut total = 0u64;
-        let weight_region = 2 * (m.footprint_pages() - m.cta_count() as u64 * {
-            // activations = footprint - 2*weights; recompute per model
-            (m.footprint_pages() - 2 * m.layers.iter().map(|l| l.weight_pages).sum::<u64>())
-                / m.cta_count() as u64
-        }) / 2;
+        let weight_region = 2
+            * (m.footprint_pages()
+                - m.cta_count() as u64 * {
+                    // activations = footprint - 2*weights; recompute per model
+                    (m.footprint_pages() - 2 * m.layers.iter().map(|l| l.weight_pages).sum::<u64>())
+                        / m.cta_count() as u64
+                })
+            / 2;
         for cta in [0, m.cta_count() / 2] {
             let mut s = m.make_stream(cta, 3);
             while let Some(a) = s.next_access() {

@@ -60,10 +60,7 @@ fn main() {
         "  recovery:        {} FT invalidations, {} pages migrated off the victim, {} PRT rebuild(s)",
         c.ft_invalidations, c.ownership_migrations, c.prt_rebuilds
     );
-    println!(
-        "  checkpoints:     {} epochs recorded",
-        c.checkpoints_taken
-    );
+    println!("  checkpoints:     {} epochs recorded", c.checkpoints_taken);
     println!(
         "  retired:         {}/{} requests (auditor: exactly-once)",
         failed.resilience.requests_retired, failed.translation_requests
@@ -82,7 +79,11 @@ fn main() {
     println!(
         "  restore:         crashed at cycle {crash_at} with {} epoch(s); replay verified {}",
         outcome.crashed_epochs,
-        if outcome.restored { "bit-identical" } else { "(run finished before the crash point)" }
+        if outcome.restored {
+            "bit-identical"
+        } else {
+            "(run finished before the crash point)"
+        }
     );
     if outcome.restored {
         assert_eq!(outcome.metrics.total_cycles, failed.total_cycles);

@@ -16,17 +16,25 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.0);
 
-    for model in [workloads::vgg16().scaled(scale), workloads::resnet18().scaled(scale)] {
+    for model in [
+        workloads::vgg16().scaled(scale),
+        workloads::resnet18().scaled(scale),
+    ] {
         println!("=== {} (data-parallel, 4 GPUs) ===", model.name);
         let base = System::new(SystemConfig::baseline()).run(&model).unwrap();
-        let tfw = System::new(SystemConfig::with_transfw()).run(&model).unwrap();
+        let tfw = System::new(SystemConfig::with_transfw())
+            .run(&model)
+            .unwrap();
         let repl_cfg = SystemConfig {
             placement: PolicyKind::ReadDuplicate,
             ..SystemConfig::with_transfw()
         };
         let tfw_repl = System::new(repl_cfg).run(&model).unwrap();
 
-        println!("  baseline          : {:>12} cycles ({} faults)", base.total_cycles, base.local_faults);
+        println!(
+            "  baseline          : {:>12} cycles ({} faults)",
+            base.total_cycles, base.local_faults
+        );
         println!(
             "  Trans-FW          : {:>12} cycles ({:.3}x)",
             tfw.total_cycles,

@@ -17,8 +17,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.5);
 
-    println!("app     | shared by 1/2/3/4 GPUs (% accesses) | PFPKI  | fault share of L2-miss latency");
-    println!("--------+-------------------------------------+--------+-------------------------------");
+    println!(
+        "app     | shared by 1/2/3/4 GPUs (% accesses) | PFPKI  | fault share of L2-miss latency"
+    );
+    println!(
+        "--------+-------------------------------------+--------+-------------------------------"
+    );
     for spec in workloads::all_apps() {
         let app = spec.scaled(scale);
         let m = System::new(SystemConfig::baseline()).run(&app).unwrap();

@@ -13,15 +13,15 @@ use transfw_sim::prelude::*;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let app_name = args.get(1).map(String::as_str).unwrap_or("MT");
-    let scale: f64 = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1.0);
     let app = workloads::app(app_name)
         .unwrap_or_else(|| panic!("unknown app {app_name}; try MT, PR, KM, …"))
         .scaled(scale);
 
-    println!("running {} at scale {scale} on the Table II 4-GPU system…", app.name);
+    println!(
+        "running {} at scale {scale} on the Table II 4-GPU system…",
+        app.name
+    );
 
     let baseline = System::new(SystemConfig::baseline()).run(&app).unwrap();
     let transfw = System::new(SystemConfig::with_transfw()).run(&app).unwrap();
@@ -52,10 +52,22 @@ fn main() {
     );
     println!();
     println!("Trans-FW mechanisms:");
-    println!("  GMMU walks short-circuited : {}", transfw.transfw.gmmu_bypassed);
-    println!("  host walks forwarded       : {}", transfw.transfw.forwarded);
-    println!("  supplied by remote GPUs    : {}", transfw.transfw.remote_supplied);
-    println!("  host walks cancelled       : {}", transfw.transfw.cancelled_host_walks);
+    println!(
+        "  GMMU walks short-circuited : {}",
+        transfw.transfw.gmmu_bypassed
+    );
+    println!(
+        "  host walks forwarded       : {}",
+        transfw.transfw.forwarded
+    );
+    println!(
+        "  supplied by remote GPUs    : {}",
+        transfw.transfw.remote_supplied
+    );
+    println!(
+        "  host walks cancelled       : {}",
+        transfw.transfw.cancelled_host_walks
+    );
     println!();
     println!("speedup: {:.3}x", transfw.speedup_vs(&baseline));
 }

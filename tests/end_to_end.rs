@@ -16,7 +16,11 @@ fn every_app_runs_to_completion_on_baseline() {
         let m = run(SystemConfig::baseline(), &app);
         assert!(m.total_cycles > 0, "{}", app.name);
         let expected = (app.ctas * app.accesses_per_cta) as u64;
-        assert_eq!(m.mem_instructions, expected, "{} instruction count", app.name);
+        assert_eq!(
+            m.mem_instructions, expected,
+            "{} instruction count",
+            app.name
+        );
     }
 }
 
@@ -187,10 +191,7 @@ fn ideal_knobs_improve_performance() {
 fn four_level_table_walks_less() {
     let app = workloads::app("KM").unwrap().scaled(SCALE);
     let five = run(SystemConfig::baseline(), &app);
-    let four = run(
-        SystemConfig::builder().page_table_levels(4).build(),
-        &app,
-    );
+    let four = run(SystemConfig::builder().page_table_levels(4).build(), &app);
     // Same misses, fewer memory accesses per cold walk.
     assert!(four.gmmu_walk_accesses + four.host_walk_accesses > 0);
     let per_walk_5 = five.host_walk_accesses as f64 / five.host_walks.max(1) as f64;
@@ -216,7 +217,10 @@ fn large_pages_improve_tlb_reach() {
 
 #[test]
 fn ml_models_run_end_to_end() {
-    for model in [workloads::vgg16().scaled(0.1), workloads::resnet18().scaled(0.1)] {
+    for model in [
+        workloads::vgg16().scaled(0.1),
+        workloads::resnet18().scaled(0.1),
+    ] {
         let base = run(SystemConfig::baseline(), &model);
         let tfw = run(SystemConfig::with_transfw(), &model);
         assert!(base.total_cycles > 0);

@@ -98,7 +98,10 @@ fn fig04_ideals_do_not_slow_down() {
     assert_app_rows(&r);
     // The no-faults ideal (col 3) is the paper's biggest win (2.2x avg).
     let mean = r.mean(3).unwrap();
-    assert!(mean > 1.0, "eliminating faults must help on average: {mean}");
+    assert!(
+        mean > 1.0,
+        "eliminating faults must help on average: {mean}"
+    );
 }
 
 #[test]
@@ -201,7 +204,10 @@ fn fig18_more_walkers_help_baseline() {
     assert_finite(&r);
     let first = r.rows.first().unwrap().1[0];
     let last = r.rows.last().unwrap().1[0];
-    assert!((first - 1.0).abs() < 1e-9, "(4,8) baseline is the reference");
+    assert!(
+        (first - 1.0).abs() < 1e-9,
+        "(4,8) baseline is the reference"
+    );
     assert!(last >= first, "more walkers must not hurt the baseline");
 }
 

@@ -7,7 +7,12 @@ use transfw_sim::uvm::PolicyKind;
 const SCALE: f64 = 0.1;
 
 fn run_with(placement: PolicyKind, app: &dyn Workload) -> RunMetrics {
-    System::new(SystemConfig { placement, ..SystemConfig::baseline() }).run(app).unwrap()
+    System::new(SystemConfig {
+        placement,
+        ..SystemConfig::baseline()
+    })
+    .run(app)
+    .unwrap()
 }
 
 #[test]
@@ -84,7 +89,8 @@ fn software_driver_is_slower_than_host_mmu() {
             .fault_mode(mgpu::FarFaultMode::UvmDriver)
             .build(),
     )
-    .run(&app).unwrap();
+    .run(&app)
+    .unwrap();
     assert!(sw.driver_batches > 0, "driver must process batches");
     assert!(
         sw.total_cycles > hw.total_cycles,
@@ -102,14 +108,16 @@ fn transfw_helps_on_driver_mode_too() {
             .fault_mode(mgpu::FarFaultMode::UvmDriver)
             .build(),
     )
-    .run(&app).unwrap();
+    .run(&app)
+    .unwrap();
     let tfw = System::new(SystemConfig {
         transfw: Some(TransFwKnobs::full()),
         ..SystemConfig::builder()
             .fault_mode(mgpu::FarFaultMode::UvmDriver)
             .build()
     })
-    .run(&app).unwrap();
+    .run(&app)
+    .unwrap();
     assert!(
         tfw.speedup_vs(&base) > 1.05,
         "Fig. 26: Trans-FW must help driver mode, got {}",
@@ -122,14 +130,17 @@ fn driver_scaling_degrades_with_gpu_count() {
     // Fig. 2(a): the software/hardware gap widens with more GPUs.
     let app = workloads::app("PR").unwrap().scaled(SCALE);
     let gap = |gpus: u16| {
-        let hw = System::new(SystemConfig::builder().gpus(gpus).build()).run(&app).unwrap();
+        let hw = System::new(SystemConfig::builder().gpus(gpus).build())
+            .run(&app)
+            .unwrap();
         let sw = System::new(
             SystemConfig::builder()
                 .gpus(gpus)
                 .fault_mode(mgpu::FarFaultMode::UvmDriver)
                 .build(),
         )
-        .run(&app).unwrap();
+        .run(&app)
+        .unwrap();
         sw.total_cycles as f64 / hw.total_cycles as f64
     };
     let g4 = gap(4);
@@ -144,7 +155,9 @@ fn driver_scaling_degrades_with_gpu_count() {
 fn stc_pwcache_works_end_to_end() {
     let app = workloads::app("KM").unwrap().scaled(SCALE);
     let utc = System::new(SystemConfig::baseline()).run(&app).unwrap();
-    let stc = System::new(SystemConfig::builder().pwc_kind(mgpu::PwcKind::Stc).build()).run(&app).unwrap();
+    let stc = System::new(SystemConfig::builder().pwc_kind(mgpu::PwcKind::Stc).build())
+        .run(&app)
+        .unwrap();
     assert!(stc.total_cycles > 0);
     // Both organisations should be in the same performance ballpark.
     let ratio = stc.total_cycles as f64 / utc.total_cycles as f64;
@@ -155,7 +168,9 @@ fn stc_pwcache_works_end_to_end() {
 fn asap_reduces_walk_cycles() {
     let app = workloads::app("PR").unwrap().scaled(SCALE);
     let base = System::new(SystemConfig::baseline()).run(&app).unwrap();
-    let asap = System::new(SystemConfig::builder().asap(Some(1.0)).build()).run(&app).unwrap();
+    let asap = System::new(SystemConfig::builder().asap(Some(1.0)).build())
+        .run(&app)
+        .unwrap();
     // With perfect ASAP, walk latency collapses to ~1 access per walk.
     assert!(
         asap.breakdown.host_walk < base.breakdown.host_walk,
@@ -169,7 +184,9 @@ fn asap_reduces_walk_cycles() {
 fn least_tlb_adds_remote_tlb_hits() {
     let app = workloads::app("KM").unwrap().scaled(SCALE);
     let base = System::new(SystemConfig::baseline()).run(&app).unwrap();
-    let least = System::new(SystemConfig::builder().least_tlb(true).build()).run(&app).unwrap();
+    let least = System::new(SystemConfig::builder().least_tlb(true).build())
+        .run(&app)
+        .unwrap();
     // Remote L2 probes satisfy some misses before they become walks.
     assert!(
         least.translation_requests <= base.translation_requests,

@@ -9,7 +9,9 @@ use transfw_sim::uvm::PolicyKind;
 const SCALE: f64 = 0.1;
 
 fn run_placement(placement: PolicyKind, cfg: SystemConfig, app: &dyn Workload) -> RunMetrics {
-    System::new(SystemConfig { placement, ..cfg }).run(app).unwrap()
+    System::new(SystemConfig { placement, ..cfg })
+        .run(app)
+        .unwrap()
 }
 
 #[test]
@@ -29,14 +31,24 @@ fn delayed_migration_defers_movement_until_threshold() {
         delayed.directory.migrations,
         eager.directory.migrations
     );
-    assert!(delayed.directory.remote_maps > 0, "deferred faults remote-map");
+    assert!(
+        delayed.directory.remote_maps > 0,
+        "deferred faults remote-map"
+    );
 }
 
 #[test]
 fn read_duplicate_replicates_and_collapses() {
     let app = workloads::app("MT").unwrap().scaled(SCALE);
-    let m = run_placement(PolicyKind::ReadDuplicate, SystemConfig::with_transfw(), &app);
-    assert!(m.directory.replications > 0, "read-shared pages must replicate");
+    let m = run_placement(
+        PolicyKind::ReadDuplicate,
+        SystemConfig::with_transfw(),
+        &app,
+    );
+    assert!(
+        m.directory.replications > 0,
+        "read-shared pages must replicate"
+    );
     assert!(
         m.placement.collapses > 0,
         "MT's shared writes must collapse replicas"
@@ -55,11 +67,13 @@ fn prefetch_neighborhood_moves_extra_pages() {
     );
     assert!(pf.placement.prefetched_pages > 0, "prefetcher never fired");
     assert_eq!(
-        pf.directory.prefetches,
-        pf.placement.prefetched_pages,
+        pf.directory.prefetches, pf.placement.prefetched_pages,
         "directory and memory-system prefetch tallies must agree"
     );
-    assert_eq!(plain.placement.prefetched_pages, 0, "first touch never prefetches");
+    assert_eq!(
+        plain.placement.prefetched_pages, 0,
+        "first touch never prefetches"
+    );
     // Latency accounting: the migration log only records data movements.
     assert!(pf.placement.migration_latency.count() >= pf.directory.migrations);
 }
@@ -77,7 +91,9 @@ fn policies_survive_fault_injection_with_exact_retirement() {
         let mut cfg = SystemConfig::with_transfw();
         cfg.faults = transfw_sim::sim_core::FaultPlan::message_chaos(11, 0.02, 200);
         cfg.placement = kind;
-        let m = System::new(cfg).run(&app).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let m = System::new(cfg)
+            .run(&app)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(
             m.resilience.requests_retired, m.translation_requests,
             "{kind:?} lost or duplicated a request under chaos"

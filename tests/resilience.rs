@@ -6,7 +6,10 @@
 use transfw_sim::prelude::*;
 
 fn faulty(cfg: SystemConfig, plan: FaultPlan) -> SystemConfig {
-    SystemConfig { faults: plan, ..cfg }
+    SystemConfig {
+        faults: plan,
+        ..cfg
+    }
 }
 
 #[test]
@@ -18,7 +21,10 @@ fn every_app_survives_one_percent_message_loss() {
     let mut retries = 0u64;
     for spec in workloads::all_apps() {
         let app = spec.scaled(0.05);
-        let cfg = faulty(SystemConfig::with_transfw(), FaultPlan::message_loss(11, 0.01));
+        let cfg = faulty(
+            SystemConfig::with_transfw(),
+            FaultPlan::message_loss(11, 0.01),
+        );
         let m = System::new(cfg).run(&app).unwrap_or_else(|e| {
             panic!("{} wedged under 1% loss: {e}", app.name);
         });
@@ -47,7 +53,10 @@ fn heavy_loss_degrades_to_fallback_host_walks() {
     // eventually give up on the lossy path and route the request down the
     // reliable fallback host walk (§IV-C degraded mode).
     let app = workloads::app("MT").unwrap().scaled(0.2);
-    let cfg = faulty(SystemConfig::with_transfw(), FaultPlan::message_loss(3, 0.3));
+    let cfg = faulty(
+        SystemConfig::with_transfw(),
+        FaultPlan::message_loss(3, 0.3),
+    );
     let m = System::new(cfg).run(&app).unwrap();
     assert_eq!(m.mem_instructions, (app.ctas * app.accesses_per_cta) as u64);
     assert!(m.resilience.remote_timeouts > 0);
@@ -126,9 +135,7 @@ fn delayed_then_duplicated_replies_never_double_retire() {
 #[test]
 fn walker_stalls_and_host_bursts_only_slow_things_down() {
     let app = workloads::app("KM").unwrap().scaled(0.1);
-    let clean = System::new(SystemConfig::baseline())
-        .run(&app)
-        .unwrap();
+    let clean = System::new(SystemConfig::baseline()).run(&app).unwrap();
     let plan = FaultPlan {
         walker_stall_prob: 0.5,
         walker_stall_cycles: 300,
@@ -171,7 +178,10 @@ fn table_pollution_and_stale_entries_are_survivable() {
 #[test]
 fn driver_mode_survives_message_loss_too() {
     let app = workloads::app("KM").unwrap().scaled(0.1);
-    let mut cfg = faulty(SystemConfig::with_transfw(), FaultPlan::message_loss(9, 0.05));
+    let mut cfg = faulty(
+        SystemConfig::with_transfw(),
+        FaultPlan::message_loss(9, 0.05),
+    );
     cfg.fault_mode = mgpu::FarFaultMode::UvmDriver;
     let m = System::new(cfg).run(&app).unwrap();
     assert_eq!(m.mem_instructions, (app.ctas * app.accesses_per_cta) as u64);
@@ -253,13 +263,15 @@ fn empty_plan_is_bit_identical_to_pre_resilience_baseline() {
     let m = run(SystemConfig::baseline(), "AES");
     assert_eq!((m.total_cycles, m.translation_requests), (3242, 31));
     let m = run(SystemConfig::baseline(), "KM");
-    assert_eq!(
-        (m.total_cycles, m.local_faults, m.host_walks),
-        (3672, 7, 7)
-    );
+    assert_eq!((m.total_cycles, m.local_faults, m.host_walks), (3672, 7, 7));
     let m = run(SystemConfig::with_transfw(), "KM");
     assert_eq!(
-        (m.total_cycles, m.local_faults, m.host_walks, m.transfw.gmmu_bypassed),
+        (
+            m.total_cycles,
+            m.local_faults,
+            m.host_walks,
+            m.transfw.gmmu_bypassed
+        ),
         (3484, 1, 9, 8)
     );
     let mut cfg = SystemConfig::with_transfw();

@@ -119,7 +119,8 @@ fn ablations_are_weaker_than_full_mechanism() {
         }),
         ..SystemConfig::baseline()
     })
-    .run(&app).unwrap();
+    .run(&app)
+    .unwrap();
     let full_speedup = full.speedup_vs(&base);
     let prt_speedup = prt_only.speedup_vs(&base);
     assert!(
