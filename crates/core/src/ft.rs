@@ -153,11 +153,18 @@ impl Ft {
     /// A 64-bit digest of the table's contents, counters and geometry, for
     /// epoch checkpoints.
     pub fn state_digest(&self) -> u64 {
-        let mut sm = self.filter.state_digest()
-            ^ (self.lookups << 24)
-            ^ (self.hits << 48)
-            ^ (u64::from(self.mask_bits) << 8)
-            ^ u64::from(self.gpu_count);
+        let Self {
+            filter,
+            mask_bits,
+            gpu_count,
+            lookups,
+            hits,
+        } = self;
+        let mut sm = filter.state_digest()
+            ^ (lookups << 24)
+            ^ (hits << 48)
+            ^ (u64::from(*mask_bits) << 8)
+            ^ u64::from(*gpu_count);
         sim_core::rng::splitmix64(&mut sm)
     }
 }

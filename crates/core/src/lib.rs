@@ -46,6 +46,10 @@
 //! assert!(policy.should_forward(9, 16));
 //! ```
 
+// A panic in sim code aborts a run mid-flight (DESIGN.md, "Static analysis
+// & determinism contract").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod area;
 pub mod ft;
 pub mod policy;

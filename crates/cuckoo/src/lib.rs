@@ -22,6 +22,10 @@
 //! assert!(!f.contains(42));
 //! ```
 
+// A panic in sim code aborts a run mid-flight (DESIGN.md, "Static analysis
+// & determinism contract").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod filter;
 #[cfg(test)]
 mod filter_tests;

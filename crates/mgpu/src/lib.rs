@@ -42,6 +42,13 @@
 //! assert_eq!(metrics.mem_instructions, 64);
 //! ```
 
+// A panic in sim code aborts a run mid-flight, and a wildcard arm would
+// swallow a new enum variant at a protocol handler (DESIGN.md, "Static
+// analysis & determinism contract").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![warn(clippy::match_wildcard_for_single_variants)]
+
 pub mod config;
 pub mod gmmu;
 pub mod host;
@@ -67,7 +74,7 @@ pub use metrics::{
 };
 pub use overload::{OverloadConfig, OverloadControl, OverloadStats};
 pub use oversub::{OversubConfig, OversubControl, OversubStats};
-pub use protocol::{ProtocolEvent, ProtocolNote, ProtocolTables};
+pub use protocol::{ProtocolNote, ProtocolTables};
 pub use recovery::{run_with_restore, RestoreOutcome};
 pub use sim_core::{CheckpointLog, ComponentEvent, EpochCheckpoint, FaultPlan, SimError};
 pub use system::System;

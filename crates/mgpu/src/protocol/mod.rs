@@ -15,8 +15,6 @@
 //! Because both run the *same* transition bodies, a property `simcheck`
 //! proves over every interleaving of the abstract model is a property of
 //! the code the simulator runs, not of a hand-written re-implementation.
-//! The `protocol-transition` simlint rule enforces the funnel: no `match`
-//! over [`ProtocolEvent`] may exist outside this module.
 //!
 //! The fault injector's `drop_table_update` perturbation is threaded
 //! through the trait ([`ProtocolTables::drop_table_update`]); the gate
@@ -104,66 +102,6 @@ pub trait ProtocolTables {
 
     /// Metric side effect (default: ignored).
     fn note(&mut self, _note: ProtocolNote) {}
-}
-
-/// One step of the forwarding protocol's table state machine, as data. The
-/// simulator's handlers call the transition functions below directly; the
-/// model checker's counterexample traces and the replay harness drive the
-/// same transitions through [`step`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// A local mapping of `vpn` appears on `gpu`, pointing at `loc`.
-    Map {
-        /// Mapping GPU.
-        gpu: GpuId,
-        /// Page.
-        vpn: u64,
-        /// Where the PTE points.
-        loc: Location,
-    },
-    /// The local mapping of `vpn` on `gpu` is destroyed.
-    Unmap {
-        /// Unmapping GPU.
-        gpu: GpuId,
-        /// Page.
-        vpn: u64,
-    },
-    /// An ownership transaction commits (shootdowns, host view, FT).
-    Commit(OwnershipTransaction),
-    /// A GPU's eviction report is mirrored into the tables.
-    Evict {
-        /// Evicted GPU.
-        gpu: GpuId,
-        /// What the directory evicted.
-        report: EvictionReport,
-    },
-    /// An offline GPU's local tables are flushed wholesale.
-    Flush {
-        /// Flushed GPU.
-        gpu: GpuId,
-    },
-    /// A rejoining GPU's PRT is rebuilt from the directory.
-    Rejoin {
-        /// Rejoining GPU.
-        gpu: GpuId,
-        /// The directory's residency list for the GPU.
-        resident: Vec<u64>,
-    },
-}
-
-/// Applies one [`ProtocolEvent`] to `t`. This is the single legal `match`
-/// over the protocol alphabet (enforced by simlint's `protocol-transition`
-/// rule): every arm delegates to the shared transition function the
-/// simulator's handlers call directly.
-pub fn step<T: ProtocolTables + ?Sized>(t: &mut T, ev: &ProtocolEvent) {
-    match ev {
-        ProtocolEvent::Map { gpu, vpn, loc } => map_page(t, *gpu, *vpn, *loc),
-        ProtocolEvent::Unmap { gpu, vpn } => unmap_page(t, *gpu, *vpn),
-        ProtocolEvent::Commit(txn) => commit_ownership(t, txn),
-        ProtocolEvent::Evict { gpu, report } => evict_tables(t, *gpu, report),
-        ProtocolEvent::Flush { gpu } => offline_flush(t, *gpu),
-        ProtocolEvent::Rejoin { gpu, resident } => rejoin_prt(t, *gpu, resident),
-    }
 }
 
 /// Creates GPU `gpu`'s local mapping of `vpn` pointing at `loc`, with the

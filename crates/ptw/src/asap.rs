@@ -8,7 +8,7 @@
 //! a misprediction falls back to the full sequential walk (plus the wasted
 //! parallel fetches, which we account as extra memory traffic).
 
-use sim_core::{SimRng, StateDigest};
+use sim_core::{SimRng, StateDigest, Stream};
 
 /// ASAP prefetcher model.
 ///
@@ -46,7 +46,7 @@ impl Asap {
         );
         Self {
             accuracy,
-            rng: SimRng::new(0xA5A9_0001),
+            rng: SimRng::stream(0, Stream::Asap, 0),
             predictions: 0,
             correct: 0,
             extra_accesses: 0,
@@ -98,12 +98,19 @@ impl Asap {
     /// accuracy, the coin-flip RNG position and the outcome counters — for
     /// epoch checkpoints.
     pub fn state_digest(&self) -> u64 {
+        let Self {
+            accuracy,
+            rng,
+            predictions,
+            correct,
+            extra_accesses,
+        } = self;
         let mut d = StateDigest::new();
-        d.mix(self.accuracy.to_bits())
-            .mix(self.rng.state_digest())
-            .mix(self.predictions)
-            .mix(self.correct)
-            .mix(self.extra_accesses);
+        d.mix(accuracy.to_bits())
+            .mix(rng.state_digest())
+            .mix(*predictions)
+            .mix(*correct)
+            .mix(*extra_accesses);
         d.finish()
     }
 }

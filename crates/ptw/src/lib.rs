@@ -28,6 +28,10 @@
 //! assert!(walk.pte.is_some());
 //! ```
 
+// A panic in sim code aborts a run mid-flight (DESIGN.md, "Static analysis
+// & determinism contract").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod asap;
 pub mod pwc;
 pub mod queue;

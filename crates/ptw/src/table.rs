@@ -232,14 +232,19 @@ impl PageTable {
     /// epoch checkpoints. Iteration is key-ordered (`DetMap`), so the
     /// digest is stable across runs and shard layouts.
     pub fn state_digest(&self) -> u64 {
+        let Self {
+            levels,
+            leaves,
+            nodes,
+        } = self;
         let mut d = StateDigest::new();
-        d.mix(u64::from(self.levels));
-        d.mix(self.leaves.len() as u64);
-        for (&vpn, pte) in self.leaves.iter() {
-            let loc = pte.loc.gpu().map_or(0, |g| u64::from(g) + 1);
-            d.mix(vpn).mix(pte.ppn ^ (loc << 48));
+        d.mix(u64::from(*levels));
+        d.mix(leaves.len() as u64);
+        for (&vpn, &Pte { ppn, loc }) in leaves.iter() {
+            let loc = loc.gpu().map_or(0, |g| u64::from(g) + 1);
+            d.mix(vpn).mix(ppn ^ (loc << 48));
         }
-        for level in &self.nodes {
+        for level in nodes {
             d.mix(level.len() as u64);
             for (&prefix, &leaves_below) in level.iter() {
                 d.mix(prefix ^ (u64::from(leaves_below) << 40));

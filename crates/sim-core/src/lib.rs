@@ -26,6 +26,13 @@
 //! assert!(q.is_empty());
 //! ```
 
+// A panic in sim code aborts a run mid-flight, and a wildcard arm would
+// swallow a new enum variant at a protocol handler (DESIGN.md, "Static
+// analysis & determinism contract").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![warn(clippy::match_wildcard_for_single_variants)]
+
 pub mod checkpoint;
 pub mod counterexample;
 pub mod det;
@@ -45,7 +52,7 @@ pub use fault::{ComponentEvent, FaultInjector, FaultPlan, InjectStats, MessageFa
 pub use migration::{MigrationEvent, MigrationKind, MigrationLog};
 pub use overload::{ExponentialBackoff, Hysteresis, TokenBucket, WindowedCount};
 pub use queue::EventQueue;
-pub use rng::SimRng;
+pub use rng::{SimRng, Stream};
 
 /// Simulation time in cycles.
 ///

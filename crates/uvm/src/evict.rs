@@ -214,8 +214,12 @@ impl EvictionEngine {
     /// A 64-bit digest of the tracked residency/recency state for epoch
     /// checkpoints.
     pub fn state_digest(&self) -> u64 {
+        let Self {
+            policy: _, // fixed at construction from the run config
+            resident,
+        } = self;
         let mut d = StateDigest::new();
-        for m in &self.resident {
+        for m in resident {
             for (&vpn, &touch) in m.iter() {
                 d.mix(vpn + 1).mix(touch);
             }

@@ -1,7 +1,7 @@
-//! Regression tests for the digest-completeness hazards the flow-aware
-//! simlint pass surfaced: `Ft.mask_bits`, `Ft.gpu_count` and
-//! `Prt.mask_bits` were invisible to their `state_digest` functions, so a
-//! restored run whose filter geometry somehow drifted could replay on a
+//! Regression tests for a digest-completeness hazard: `Ft.mask_bits`,
+//! `Ft.gpu_count` and `Prt.mask_bits` were once invisible to their
+//! `state_digest` functions (which now destructure `Self` exhaustively),
+//! so a restored run whose filter geometry somehow drifted could replay on a
 //! divergent table without the checkpoint prefix check noticing. Each
 //! fixed field gets a sensitivity test (digest must move when the field
 //! does), and `run_with_restore` proves replay stays bit-identical with

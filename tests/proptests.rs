@@ -3,6 +3,8 @@
 //! `proptest` crate is unavailable offline; these keep the same properties
 //! with seeded exploration over many generated cases).
 
+#![expect(clippy::disallowed_methods, reason = "fixed-seed test streams")]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
