@@ -20,13 +20,13 @@
 //! Victim selection itself lives in [`uvm::EvictionEngine`]; this module is
 //! the policy brain that decides *when* to evict and *how hard* to push.
 //! With [`OversubConfig::default`] (disabled, capacity treated as infinite)
-//! every method is an inert no-op: no RNG draws, no state changes, so
-//! existing runs stay bit-identical.
+//! every method is an inert no-op that changes no state, so existing runs
+//! stay bit-identical. The control plane draws no randomness at all.
 
 use ptw::GpuId;
 use sim_core::checkpoint::StateDigest;
 use sim_core::det::DetMap;
-use sim_core::{Cycle, Hysteresis, SimRng, Stream, WindowedCount};
+use sim_core::{Cycle, Hysteresis, WindowedCount};
 use uvm::{EvictPolicy, TrafficClass};
 
 /// Tuning for the oversubscription subsystem. `Default` is **disabled**:
@@ -128,12 +128,10 @@ pub struct OversubStats {
 ///
 /// Owns the per-GPU thrash gates, refault windows and recently-evicted
 /// tracking. When constructed from a disabled [`OversubConfig`] every
-/// method is a permissive no-op that draws no randomness, so disabled runs
-/// stay bit-identical.
+/// method is a permissive no-op, so disabled runs stay bit-identical.
 #[derive(Debug, Clone)]
 pub struct OversubControl {
     cfg: OversubConfig,
-    rng: SimRng,
     gates: Vec<Hysteresis>,
     refaults: Vec<WindowedCount>,
     /// Per GPU: recently evicted VPN → eviction cycle.
@@ -143,13 +141,11 @@ pub struct OversubControl {
 }
 
 impl OversubControl {
-    /// Builds the control plane for `gpus` GPUs from `cfg`, deriving its
-    /// private RNG stream from the simulation `seed`.
-    pub fn new(cfg: &OversubConfig, gpus: GpuId, seed: u64) -> Self {
+    /// Builds the control plane for `gpus` GPUs from `cfg`.
+    pub fn new(cfg: &OversubConfig, gpus: GpuId) -> Self {
         let n = usize::from(gpus);
         Self {
             cfg: cfg.clone(),
-            rng: SimRng::stream(seed, Stream::Oversub, 0),
             gates: vec![Hysteresis::new(cfg.thrash_high, cfg.thrash_low.min(cfg.thrash_high)); n],
             refaults: vec![WindowedCount::new(cfg.refault_window.max(1)); n],
             recently_evicted: vec![DetMap::new(); n],
@@ -298,7 +294,6 @@ impl OversubControl {
     pub fn digest(&self) -> u64 {
         let Self {
             cfg,
-            rng,
             gates,
             refaults,
             recently_evicted,
@@ -306,7 +301,6 @@ impl OversubControl {
         } = self;
         let mut d = StateDigest::new();
         d.mix(u64::from(cfg.enabled));
-        d.mix(rng.state_digest());
         for g in gates {
             d.mix(u64::from(g.engaged()));
         }
@@ -348,7 +342,7 @@ mod tests {
 
     #[test]
     fn disabled_control_is_inert_and_digest_constant() {
-        let mut c = OversubControl::new(&OversubConfig::default(), 4, 7);
+        let mut c = OversubControl::new(&OversubConfig::default(), 4);
         let before = c.digest();
         c.note_evicted(1, 5, 100);
         assert!(!c.note_fault(1, 5, 150));
@@ -367,7 +361,7 @@ mod tests {
         cfg.thrash_high = 3;
         cfg.thrash_low = 0;
         cfg.refault_window = 100;
-        let mut c = OversubControl::new(&cfg, 2, 7);
+        let mut c = OversubControl::new(&cfg, 2);
         // Faults without prior evictions are not refaults.
         assert!(!c.note_fault(0, 1, 10));
         assert_eq!(c.stats.refaults, 0);
@@ -390,7 +384,7 @@ mod tests {
     fn refault_window_expires_old_evictions() {
         let mut cfg = on();
         cfg.refault_window = 50;
-        let mut c = OversubControl::new(&cfg, 1, 7);
+        let mut c = OversubControl::new(&cfg, 1);
         c.note_evicted(0, 8, 100);
         assert!(!c.note_fault(0, 8, 200), "past the window: a cold fault");
         assert_eq!(c.stats.refaults, 0);
@@ -403,7 +397,7 @@ mod tests {
         let mut cfg = on();
         cfg.thrash_high = 1;
         cfg.thrash_low = 0;
-        let mut c = OversubControl::new(&cfg, 2, 7);
+        let mut c = OversubControl::new(&cfg, 2);
         assert!(!c.shed_background(0, TrafficClass::Prefetch));
         assert!(!c.prefer_direct_access(0, false, true));
         c.note_evicted(0, 4, 10);
@@ -437,7 +431,7 @@ mod tests {
         let mut cfg = on();
         cfg.thrash_high = 1;
         cfg.thrash_low = 0;
-        let mut c = OversubControl::new(&cfg, 2, 7);
+        let mut c = OversubControl::new(&cfg, 2);
         c.note_evicted(0, 4, 10);
         assert!(c.note_fault(0, 4, 20));
         assert!(c.thrashing(0));
@@ -450,13 +444,13 @@ mod tests {
 
     #[test]
     fn enabled_digest_tracks_state_changes() {
-        let mut c = OversubControl::new(&on(), 2, 7);
+        let mut c = OversubControl::new(&on(), 2);
         let d0 = c.digest();
         c.note_evicted(0, 4, 10);
         let d1 = c.digest();
         assert_ne!(d0, d1, "eviction history is digest-visible");
-        let mut c2 = OversubControl::new(&on(), 2, 7);
+        let mut c2 = OversubControl::new(&on(), 2);
         c2.note_evicted(0, 4, 10);
-        assert_eq!(c2.digest(), d1, "same seed and history agree");
+        assert_eq!(c2.digest(), d1, "same history, same digest");
     }
 }

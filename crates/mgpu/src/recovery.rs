@@ -30,6 +30,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use ptw::Location;
 use sim_core::{CheckpointLog, ComponentEvent, Cycle, EpochCheckpoint, SimError, StateDigest};
 
 use crate::config::FarFaultMode;
@@ -372,22 +373,20 @@ impl System {
         }
     }
 
-    /// Records one epoch checkpoint: a digest of the complete observable
-    /// simulation state at this cycle.
+    /// Ticks one epoch: bumps `checkpoints_taken` and re-arms the next
+    /// `Checkpoint` event. Only when a sink is attached (see
+    /// [`with_checkpoint_sink`](System::with_checkpoint_sink)) does it also
+    /// compute the digest of the complete observable simulation state and
+    /// record it, under the epoch ordinal `checkpoints_taken` had before
+    /// the bump. Without a sink nothing reads a digest, so none is made.
     pub(crate) fn epoch_checkpoint(&mut self) {
-        let cp = EpochCheckpoint {
-            epoch: self.checkpoint_log.len() as u64,
-            cycle: self.now,
-            digest: self.state_digest(),
-        };
-        self.checkpoint_log.record(cp);
         if let Some(sink) = &self.checkpoint_sink {
-            // A poisoned sink (a panic elsewhere while holding the lock)
-            // still holds structurally valid checkpoints: recover the guard
-            // instead of compounding the failure with a second panic.
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .record(cp);
+            let cp = EpochCheckpoint {
+                epoch: self.metrics.recovery.checkpoints_taken,
+                cycle: self.now,
+                digest: self.state_digest(),
+            };
+            lock_log(sink).record(cp);
         }
         self.metrics.recovery.checkpoints_taken =
             self.metrics.recovery.checkpoints_taken.saturating_add(1);
@@ -433,7 +432,6 @@ impl System {
             bookkeeping_pending: _,
             // Outputs of the run, read after it ends.
             migration_log: _,
-            checkpoint_log: _,
             checkpoint_sink: _,
             sanitizer_violations: _,
             overload,
@@ -463,15 +461,13 @@ impl System {
                 retire_count,
                 host_submit_time,
                 lat,
-                // Not mixed: a divergence here shows only once it moves a
-                // table, queue or counter (a gap in replay coverage).
-                resolved_loc: _,
-                forwarded: _,
-                remote_supplied: _,
-                host_walk_started: _,
-                cancelled: _,
-                remote_outcome: _,
-                fallback: _,
+                resolved_loc,
+                forwarded,
+                remote_supplied,
+                host_walk_started,
+                cancelled,
+                remote_outcome,
+                fallback,
             } = req;
             d.mix(
                 vpn ^ (u64::from(*completed) << 63)
@@ -484,6 +480,20 @@ impl System {
                     ^ (forwarded_to.map_or(0, |g| u64::from(g) + 1) << 44)
                     ^ (u64::from(*watchdog_retries) << 24)
                     ^ born,
+            );
+            let loc = match resolved_loc {
+                None => 0,
+                Some(Location::Cpu) => 1,
+                Some(Location::Gpu(g)) => u64::from(*g) + 2,
+            };
+            d.mix(
+                (loc << 8)
+                    ^ u64::from(*forwarded)
+                    ^ (u64::from(*remote_supplied) << 1)
+                    ^ (u64::from(*host_walk_started) << 2)
+                    ^ (u64::from(*cancelled) << 3)
+                    ^ (u64::from(*remote_outcome) << 4)
+                    ^ (u64::from(*fallback) << 5),
             );
             d.mix(*host_submit_time).mix(lat.total());
         }
@@ -599,23 +609,22 @@ pub struct RestoreOutcome {
 ///
 /// # Errors
 ///
-/// Propagates any [`SimError`] from either run other than the injected
-/// [`SimError::CycleCapExceeded`], and fails with
-/// [`SimError::InvariantViolation`] if the replay diverges from the crashed
-/// run's checkpoint prefix.
-///
-/// # Panics
-///
-/// Panics if `cfg.checkpoint_interval` is `None` — a restore needs epochs.
+/// * [`SimError::Config`] if `cfg.checkpoint_interval` is `None`: a
+///   restore needs epochs.
+/// * [`SimError::InvariantViolation`] if the replay diverges from the
+///   crashed run's checkpoint prefix.
+/// * Any other [`SimError`] from either run, except the injected
+///   [`SimError::CycleCapExceeded`].
 pub fn run_with_restore(
     cfg: &crate::config::SystemConfig,
     workload: &dyn Workload,
     crash_at: Cycle,
 ) -> Result<RestoreOutcome, SimError> {
-    assert!(
-        cfg.checkpoint_interval.is_some(),
-        "run_with_restore requires checkpoint_interval"
-    );
+    if cfg.checkpoint_interval.is_none() {
+        return Err(SimError::Config(
+            "run_with_restore requires checkpoint_interval".into(),
+        ));
+    }
     // Crash half: run with a hard cycle cap standing in for the crash. The
     // sink mirrors every checkpoint out of the dying System.
     let crashed = Arc::new(Mutex::new(CheckpointLog::new()));
@@ -649,4 +658,49 @@ pub fn run_with_restore(
         restored: true,
         crashed_epochs: crashed_log.len(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+
+    /// The resolved location and each request flag move the epoch digest,
+    /// and no two of them move it the same way.
+    #[test]
+    fn state_digest_covers_every_request_field() {
+        let mut sys = System::new(SystemConfig::default());
+        let id = sys.reqs.create(0x40, 1, false, 0);
+        let fresh = sys.reqs[id].clone();
+        let flipped = |flip: fn(&mut Req)| {
+            let mut req = fresh.clone();
+            flip(&mut req);
+            req
+        };
+        let variants = [
+            (
+                "resolved_loc cpu",
+                flipped(|r| r.resolved_loc = Some(Location::Cpu)),
+            ),
+            (
+                "resolved_loc gpu",
+                flipped(|r| r.resolved_loc = Some(Location::Gpu(0))),
+            ),
+            ("forwarded", flipped(|r| r.forwarded = true)),
+            ("remote_supplied", flipped(|r| r.remote_supplied = true)),
+            ("host_walk_started", flipped(|r| r.host_walk_started = true)),
+            ("cancelled", flipped(|r| r.cancelled = true)),
+            ("remote_outcome", flipped(|r| r.remote_outcome = true)),
+            ("fallback", flipped(|r| r.fallback = true)),
+        ];
+        let mut seen = vec![("unchanged", sys.state_digest())];
+        for (field, req) in variants {
+            sys.reqs[id] = req;
+            let d = sys.state_digest();
+            for &(other, prior) in &seen {
+                assert_ne!(d, prior, "{field} digests like {other}");
+            }
+            seen.push((field, d));
+        }
+    }
 }

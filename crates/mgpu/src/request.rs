@@ -95,7 +95,17 @@ impl Req {
     }
 }
 
+/// Requests per [`ReqArena`] chunk: about 100 KiB of `Req`s, under
+/// glibc's default 128 KiB mmap threshold.
+const CHUNK: usize = 1024;
+const _: () = assert!(CHUNK * std::mem::size_of::<Req>() < 128 << 10);
+
 /// Append-only arena of translation requests for one run.
+///
+/// Requests live in fixed-size chunks, so a growing arena never copies
+/// what it holds and never asks the allocator for one block the size of
+/// the whole run. A single doubling `Vec` would do both, and each growth
+/// step would leave a freed hole in the heap that stays resident.
 ///
 /// # Examples
 ///
@@ -110,7 +120,9 @@ impl Req {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReqArena {
-    reqs: Vec<Req>,
+    /// Every chunk but the last holds exactly `CHUNK` requests; request
+    /// `id` sits at `chunks[id / CHUNK][id % CHUNK]`.
+    chunks: Vec<Vec<Req>>,
 }
 
 impl ReqArena {
@@ -121,18 +133,29 @@ impl ReqArena {
 
     /// Allocates a new request and returns its id.
     pub fn create(&mut self, vpn: u64, gpu: GpuId, is_write: bool, born: Cycle) -> ReqId {
-        self.reqs.push(Req::new(vpn, gpu, is_write, born));
-        self.reqs.len() - 1
+        let id = self.len();
+        let req = Req::new(vpn, gpu, is_write, born);
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(req),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(req);
+                self.chunks.push(chunk);
+            }
+        }
+        id
     }
 
     /// Number of requests ever created.
     pub fn len(&self) -> usize {
-        self.reqs.len()
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
     }
 
     /// Whether no requests were created.
     pub fn is_empty(&self) -> bool {
-        self.reqs.is_empty()
+        self.chunks.is_empty()
     }
 
     /// The request with id `id`, or `None` for an id this arena never
@@ -140,17 +163,17 @@ impl ReqArena {
     /// id (a duplicated message surviving past the run) then degrades to a
     /// discarded event instead of a panic.
     pub fn get(&self, id: ReqId) -> Option<&Req> {
-        self.reqs.get(id)
+        self.chunks.get(id / CHUNK)?.get(id % CHUNK)
     }
 
     /// Mutable access to the request with id `id`, if it exists.
     pub fn get_mut(&mut self, id: ReqId) -> Option<&mut Req> {
-        self.reqs.get_mut(id)
+        self.chunks.get_mut(id / CHUNK)?.get_mut(id % CHUNK)
     }
 
-    /// Iterates over all requests.
+    /// Iterates over all requests in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Req> {
-        self.reqs.iter()
+        self.chunks.iter().flatten()
     }
 }
 
@@ -158,13 +181,13 @@ impl std::ops::Index<ReqId> for ReqArena {
     type Output = Req;
 
     fn index(&self, id: ReqId) -> &Req {
-        &self.reqs[id]
+        &self.chunks[id / CHUNK][id % CHUNK]
     }
 }
 
 impl std::ops::IndexMut<ReqId> for ReqArena {
     fn index_mut(&mut self, id: ReqId) -> &mut Req {
-        &mut self.reqs[id]
+        &mut self.chunks[id / CHUNK][id % CHUNK]
     }
 }
 
@@ -206,6 +229,22 @@ mod tests {
         a[r].forwarded = true;
         assert_eq!(a[r].lat.gmmu_queue, 42);
         assert!(a[r].forwarded);
+    }
+
+    #[test]
+    fn ids_and_order_hold_across_chunks() {
+        let mut a = ReqArena::new();
+        let n = 2 * CHUNK + 3;
+        for i in 0..n {
+            assert_eq!(a.create(i as u64, 0, false, 0), i);
+        }
+        assert_eq!(a.len(), n);
+        for id in [0, CHUNK - 1, CHUNK, 2 * CHUNK, n - 1] {
+            assert_eq!(a[id].vpn, id as u64);
+            assert_eq!(a.get(id).map(|r| r.vpn), Some(id as u64));
+        }
+        assert!(a.get(n).is_none());
+        assert!(a.iter().map(|r| r.vpn).eq(0..n as u64));
     }
 
     #[test]

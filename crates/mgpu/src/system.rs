@@ -227,10 +227,9 @@ pub struct System {
     pub(crate) bookkeeping_pending: usize,
     /// Page movements (demand, background, prefetch) recorded by this run.
     pub(crate) migration_log: sim_core::MigrationLog,
-    /// Epoch checkpoints recorded by this run.
-    pub(crate) checkpoint_log: CheckpointLog,
-    /// Optional external mirror of the checkpoint log: survives a run that
-    /// aborts mid-flight (the crash half of checkpoint/restore).
+    /// Where epoch checkpoints go, if anywhere: outside the `System`, so
+    /// the log survives a run that aborts mid-flight (the crash half of
+    /// checkpoint/restore). `None` means no digest is ever computed.
     pub(crate) checkpoint_sink: Option<Arc<Mutex<CheckpointLog>>>,
     /// Shadow-sanitizer findings (`cfg.sanitize`): invariant violations
     /// observed at ownership commits and retires, reported by the post-run
@@ -345,11 +344,10 @@ impl System {
             host_failover_until: None,
             bookkeeping_pending: 0,
             migration_log: sim_core::MigrationLog::new(),
-            checkpoint_log: CheckpointLog::new(),
             checkpoint_sink: None,
             sanitizer_violations: Vec::new(),
             overload: crate::overload::OverloadControl::new(&cfg.overload, cfg.gpus, cfg.seed),
-            oversub: crate::oversub::OversubControl::new(&cfg.oversub, cfg.gpus, cfg.seed),
+            oversub: crate::oversub::OversubControl::new(&cfg.oversub, cfg.gpus),
             evictor: uvm::EvictionEngine::new(cfg.oversub.policy, cfg.gpus),
             outstanding_vpns: sim_core::DetMap::new(),
             pending_evict: sim_core::DetMap::new(),
@@ -361,9 +359,11 @@ impl System {
         }
     }
 
-    /// Mirrors every epoch checkpoint into `sink` as it is recorded, so the
-    /// log survives a run that aborts (the crash half of checkpoint/restore;
-    /// see [`run_with_restore`](crate::run_with_restore)).
+    /// Records every epoch checkpoint into `sink` as it is taken, so the log
+    /// survives a run that aborts (the crash half of checkpoint/restore;
+    /// see [`run_with_restore`](crate::run_with_restore)). Only a run with a
+    /// sink pays for epoch digests: without one, a `Checkpoint` event just
+    /// bumps `checkpoints_taken` and re-arms itself.
     pub fn with_checkpoint_sink(mut self, sink: Arc<Mutex<CheckpointLog>>) -> Self {
         self.checkpoint_sink = Some(sink);
         self

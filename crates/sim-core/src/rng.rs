@@ -20,9 +20,6 @@ pub enum Stream {
     Fault = 0x000F_A017_1EC7,
     /// Overload-control backoff jitter.
     Overload = 0x0E7B_10AD_5EED_CAFE,
-    /// The oversubscription control plane (mixed into the digest; nothing
-    /// draws from it yet).
-    Oversub = 0x0E7B_05EB_5EED_FACE,
     /// Phase-workload access streams, one lane per CTA.
     PhaseWorkload = 0x9A5E_5F17,
     /// Table III application access streams, one lane per CTA.
@@ -273,7 +270,6 @@ mod tests {
                     (Stream::Asap, 0, 0, 0xA5A9_0001),
                     (Stream::Fault, seed, 0, seed ^ 0x000F_A017_1EC7),
                     (Stream::Overload, seed, 0, seed ^ 0x0E7B_10AD_5EED_CAFE),
-                    (Stream::Oversub, seed, 0, seed ^ 0x0E7B_05EB_5EED_FACE),
                     (Stream::PhaseWorkload, seed, cta, per_cta(0x9A5E_5F17)),
                     (Stream::AppWorkload, seed, cta, per_cta(0x5EC5_7811)),
                     (Stream::OversubWorkload, seed, cta, per_cta(0x05EB_F00D)),

@@ -656,16 +656,21 @@ impl PageDirectory {
                 home,
                 replicas,
                 remote_maps,
-                // Not mixed, although the promotion counters steer later
-                // placement: a gap in replay coverage.
-                access_counts: _,
-                fault_counts: _,
+                access_counts,
+                fault_counts,
             } = page;
             let home = match *home {
                 Location::Cpu => u64::MAX,
                 Location::Gpu(g) => u64::from(g),
             };
             digest.mix(vpn).mix(home).mix(*replicas).mix(*remote_maps);
+            // One word per GPU: the promotion counters steer later placement.
+            digest.mix_all(
+                access_counts
+                    .iter()
+                    .zip(fault_counts)
+                    .map(|(&a, &f)| (u64::from(a) << 32) | u64::from(f)),
+            );
         }
         digest.finish()
     }
@@ -1099,6 +1104,27 @@ mod tests {
         counted.stats.promotions = 1;
         for other in [&knob, &gpus, &counted] {
             assert_ne!(a.state_digest(), other.state_digest());
+        }
+    }
+
+    #[test]
+    fn state_digest_covers_promotion_counters() {
+        let mut base = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 9 });
+        base.place(5, Location::Gpu(0));
+        let mut access = base.clone();
+        access.pages.get_mut(&5).unwrap().access_counts[2] = 1;
+        let mut fault = base.clone();
+        fault.pages.get_mut(&5).unwrap().fault_counts[2] = 1;
+        let mut other_gpu = base.clone();
+        other_gpu.pages.get_mut(&5).unwrap().fault_counts[3] = 1;
+        let digests = [&base, &access, &fault, &other_gpu].map(PageDirectory::state_digest);
+        for (i, a) in digests.iter().enumerate() {
+            for b in &digests[i + 1..] {
+                assert_ne!(
+                    a, b,
+                    "access/fault counters must flow into the digest per GPU"
+                );
+            }
         }
     }
 

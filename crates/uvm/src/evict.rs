@@ -162,10 +162,16 @@ impl EvictionEngine {
         }
     }
 
-    /// Ranks `gpu`'s resident pages and picks the coldest as victim,
-    /// skipping `pinned` pages entirely and protecting the hottest
-    /// `protect_hot` candidates (0 protects nothing). Returns `None` as
-    /// the victim when no candidate survives the exemptions.
+    /// Picks the coldest of `gpu`'s resident pages as victim, skipping
+    /// `pinned` pages entirely and protecting the hottest `protect_hot`
+    /// candidates (0 protects nothing). Returns `None` as the victim when
+    /// no candidate survives the exemptions.
+    ///
+    /// One pass over the residency map: it keeps the smallest rank key
+    /// `(heat, touch, vpn)` and counts the unpinned candidates. The key
+    /// includes the VPN, so the order is total and the pick is the first
+    /// element a full sort of the candidates would give. Only the coldest
+    /// page is ever needed, so nothing is sorted.
     pub fn select_victim(
         &self,
         gpu: GpuId,
@@ -180,34 +186,41 @@ impl EvictionEngine {
             };
         };
         let mut pinned_skipped = 0u64;
-        // Rank key: smaller is colder. DetMap iteration is VPN-ascending,
-        // and the key embeds the VPN, so the ordering is total and
-        // deterministic.
-        let mut candidates: Vec<(u64, u64, u64)> = Vec::new();
+        let mut candidates = 0usize;
+        // (heat, touch) of the coldest candidate so far, and its VPN. The
+        // map iterates in ascending VPN order, so replacing only on a
+        // strictly colder key keeps the smallest VPN among equals.
+        let mut coldest: Option<((u64, u64), u64)> = None;
         for (&vpn, &touch) in m.iter() {
             if pinned.contains(&vpn) {
                 pinned_skipped += 1;
                 continue;
             }
-            let heat = match self.policy {
-                EvictPolicy::Lru => 0,
-                EvictPolicy::AccessCounter => dir.page(vpn).map_or(0, |p| {
-                    let f: u64 = p.fault_counts.iter().map(|&c| u64::from(c)).sum();
-                    let a: u64 = p.access_counts.iter().map(|&c| u64::from(c)).sum();
-                    f + a
-                }),
-            };
-            candidates.push((heat, touch, vpn));
+            candidates += 1;
+            let key = (self.heat(dir, vpn), touch);
+            if coldest.is_none_or(|(best, _)| key < best) {
+                coldest = Some((key, vpn));
+            }
         }
-        candidates.sort_unstable();
-        let victim = if candidates.len() > protect_hot {
-            candidates.first().map(|&(_, _, vpn)| vpn)
-        } else {
-            None
-        };
+        let victim = coldest
+            .filter(|_| candidates > protect_hot)
+            .map(|(_, vpn)| vpn);
         VictimPick {
             victim,
             pinned_skipped,
+        }
+    }
+
+    /// `vpn`'s rank heat under the engine's policy: 0 for LRU, the sum of
+    /// the directory's fault and remote-access counters otherwise.
+    fn heat(&self, dir: &PageDirectory, vpn: u64) -> u64 {
+        match self.policy {
+            EvictPolicy::Lru => 0,
+            EvictPolicy::AccessCounter => dir.page(vpn).map_or(0, |p| {
+                let f: u64 = p.fault_counts.iter().map(|&c| u64::from(c)).sum();
+                let a: u64 = p.access_counts.iter().map(|&c| u64::from(c)).sum();
+                f + a
+            }),
         }
     }
 
@@ -234,6 +247,7 @@ mod tests {
     use super::*;
     use crate::policy::PolicyKind;
     use ptw::Location;
+    use sim_core::SimRng;
 
     fn pins(vpns: &[u64]) -> DetSet<u64> {
         let mut s = DetSet::new();
@@ -255,6 +269,97 @@ mod tests {
         e.note_touch(0, 3, 200);
         let pick = e.select_victim(0, &dir, &DetSet::new(), 0);
         assert_eq!(pick.victim, Some(9), "touch refreshed 3's recency");
+    }
+
+    /// The sort-based pick `select_victim` used to make: rank every
+    /// unpinned candidate, sort them all, take the first. The reference
+    /// the one-pass pick must reproduce.
+    fn sorted_pick(
+        e: &EvictionEngine,
+        gpu: GpuId,
+        dir: &PageDirectory,
+        pinned: &DetSet<u64>,
+        protect_hot: usize,
+    ) -> VictimPick {
+        let mut pinned_skipped = 0u64;
+        let mut candidates: Vec<(u64, u64, u64)> = Vec::new();
+        for (&vpn, &touch) in e.resident[usize::from(gpu)].iter() {
+            if pinned.contains(&vpn) {
+                pinned_skipped += 1;
+                continue;
+            }
+            candidates.push((e.heat(dir, vpn), touch, vpn));
+        }
+        candidates.sort_unstable();
+        let victim = if candidates.len() > protect_hot {
+            candidates.first().map(|&(_, _, vpn)| vpn)
+        } else {
+            None
+        };
+        VictimPick {
+            victim,
+            pinned_skipped,
+        }
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "fixed-seed test stream")]
+    fn one_pass_pick_matches_the_sorted_reference() {
+        let mut rng = SimRng::new(0xE71C_7001);
+        let (mut evicted, mut declined) = (0, 0);
+        for round in 0..400 {
+            let policy = if round % 2 == 0 {
+                EvictPolicy::Lru
+            } else {
+                EvictPolicy::AccessCounter
+            };
+            let mut dir =
+                PageDirectory::with_policy(3, PolicyKind::DelayedMigration { threshold: 1_000 });
+            let mut e = EvictionEngine::new(policy, 3);
+            let universe = 1 + rng.gen_range(40);
+            for vpn in 0..universe {
+                for gpu in 0..3 {
+                    if rng.chance(0.5) {
+                        // Touch stamps from a small range: recency ties are
+                        // common, so the VPN tie-break is exercised.
+                        e.note_resident(gpu, vpn, rng.gen_range(8));
+                    }
+                }
+                // Directory heat, also from a small range.
+                for _ in 0..rng.gen_range(4) {
+                    let gpu = rng.gen_range(3) as GpuId;
+                    if rng.chance(0.5) {
+                        let _ = dir.resolve_fault(vpn, gpu, false);
+                    } else {
+                        let _ = dir.record_remote_access(vpn, gpu);
+                    }
+                }
+            }
+            let mut pinned = DetSet::new();
+            for vpn in 0..universe {
+                if rng.chance(0.2) {
+                    pinned.insert(vpn);
+                }
+            }
+            for gpu in 0..3 {
+                let protect_hot = rng.gen_index(e.resident_count(gpu) + 2);
+                let pick = e.select_victim(gpu, &dir, &pinned, protect_hot);
+                assert_eq!(
+                    pick,
+                    sorted_pick(&e, gpu, &dir, &pinned, protect_hot),
+                    "round {round}, gpu {gpu}, {policy:?}, protect_hot {protect_hot}"
+                );
+                if pick.victim.is_some() {
+                    evicted += 1;
+                } else {
+                    declined += 1;
+                }
+            }
+        }
+        assert!(
+            evicted > 100 && declined > 100,
+            "{evicted} picks, {declined} declines"
+        );
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! with the invariant auditor clean and every request retired exactly once,
 //! and a crashed checkpointed run must restore bit-identically.
 
+use std::sync::{Arc, Mutex};
+
+use transfw_sim::mgpu::CheckpointLog;
 use transfw_sim::prelude::*;
 
 fn chaos(cfg: SystemConfig, events: Vec<ComponentEvent>) -> SystemConfig {
@@ -231,6 +234,55 @@ fn checkpoint_restore_is_bit_identical() {
         restored, uninterrupted,
         "restore must replay bit-identically to the uninterrupted run"
     );
+}
+
+#[test]
+fn a_checkpoint_sink_observes_without_perturbing() {
+    // Epoch digests are computed only for a sink; the run itself must not
+    // notice whether one is attached, and the sink must hold one digest per
+    // counted epoch, in order.
+    let app = workloads::app("KM").unwrap().scaled(0.1);
+    let mut cfg = chaos(
+        SystemConfig::with_transfw(),
+        vec![ComponentEvent::GpuOffline {
+            gpu: 1,
+            at_cycle: 2_000,
+            duration: 4_000,
+        }],
+    );
+    cfg.checkpoint_interval = Some(1_000);
+
+    let plain = System::new(cfg.clone()).run(&app).unwrap();
+    let sink = Arc::new(Mutex::new(CheckpointLog::new()));
+    let sunk = System::new(cfg)
+        .with_checkpoint_sink(sink.clone())
+        .run(&app)
+        .unwrap();
+    assert_eq!(sunk, plain, "a sink must not change any metric");
+
+    let log = sink.lock().unwrap();
+    assert!(plain.recovery.checkpoints_taken > 2);
+    assert_eq!(log.len() as u64, plain.recovery.checkpoints_taken);
+    let epochs: Vec<u64> = log.epochs().iter().map(|cp| cp.epoch).collect();
+    assert_eq!(
+        epochs,
+        (0..plain.recovery.checkpoints_taken).collect::<Vec<_>>()
+    );
+    assert!(
+        log.epochs().windows(2).all(|w| w[0].cycle < w[1].cycle),
+        "epochs are taken at rising cycles"
+    );
+}
+
+#[test]
+fn restore_without_checkpoints_is_a_config_error() {
+    let app = workloads::app("AES").unwrap().scaled(0.05);
+    let cfg = SystemConfig::baseline();
+    assert_eq!(cfg.checkpoint_interval, None);
+    match run_with_restore(&cfg, &app, 1_000) {
+        Err(SimError::Config(msg)) => assert!(msg.contains("checkpoint_interval"), "{msg}"),
+        other => panic!("expected a config error, got {other:?}"),
+    }
 }
 
 #[test]
