@@ -1,6 +1,6 @@
 //! System configuration (Table II) and experiment knobs.
 
-use sim_core::{Cycle, FaultPlan};
+use sim_core::{ConfigError, Cycle, FaultPlan};
 use transfw::TransFwConfig;
 
 /// The most GPUs a system can model: the replica, remote-map and
@@ -261,6 +261,46 @@ impl Default for SystemConfig {
     }
 }
 
+/// The first rule, `(holds, field, msg)`, that does not hold.
+pub(crate) fn first_broken(rules: &[(bool, &'static str, &str)]) -> Result<(), ConfigError> {
+    match rules.iter().find(|(holds, ..)| !holds) {
+        Some(&(_, field, msg)) => Err(ConfigError::new(field, msg)),
+        None => Ok(()),
+    }
+}
+
+/// A TLB of `entries` entries in sets of `assoc` ways.
+fn tlb_geometry_ok(entries: usize, assoc: usize) -> bool {
+    entries > 0 && assoc > 0 && entries.is_multiple_of(assoc)
+}
+
+/// The PRT and FT geometry their Cuckoo filters can hold, and a forwarding
+/// threshold [`ForwardPolicy`](transfw::ForwardPolicy) accepts.
+fn transfw_rules(c: &TransFwConfig) -> Result<(), &'static str> {
+    let filters = [
+        (c.prt_fingerprints, c.prt_slots, c.prt_fp_bits),
+        (c.ft_fingerprints, c.ft_slots, c.ft_fp_bits),
+    ];
+    for (fingerprints, slots, fp_bits) in filters {
+        if fingerprints == 0 || slots == 0 {
+            return Err("filter fingerprint and slot counts must be positive");
+        }
+        if !(1..=16).contains(&fp_bits) {
+            return Err("fingerprint widths must be in 1..=16 bits");
+        }
+        if fingerprints.div_ceil(slots) > 1 << 16 {
+            return Err("filters hold at most 65536 buckets");
+        }
+    }
+    if c.vpn_mask_bits > 24 {
+        return Err("vpn_mask_bits must be at most 24");
+    }
+    if !(c.forward_threshold.is_finite() && c.forward_threshold >= 0.0) {
+        return Err("forward_threshold must be a non-negative finite number");
+    }
+    Ok(())
+}
+
 impl SystemConfig {
     /// Starts building a configuration from the Table II defaults.
     pub fn builder() -> SystemConfigBuilder {
@@ -282,58 +322,56 @@ impl SystemConfig {
         }
     }
 
-    /// Validates internal consistency.
+    /// Checks every configuration rule; this is the one place they are
+    /// stated. A configuration it accepts constructs a [`System`](crate::System)
+    /// without panicking, and `scn` reports its error at the named key.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on inconsistent geometry (zero counts, more than [`MAX_GPUS`]
-    /// GPUs, TLB geometry that does not divide, unknown page size).
-    pub fn validate(&self) {
-        assert!(self.gpus > 0, "need at least one GPU");
-        assert!(self.gpus <= MAX_GPUS, "at most {MAX_GPUS} GPUs");
-        assert!(self.cus_per_gpu > 0, "need at least one CU");
-        assert!(self.wavefronts_per_cu > 0, "need at least one wavefront");
-        assert!(
-            self.l2_tlb_entries.is_multiple_of(self.l2_tlb_assoc),
-            "L2 TLB geometry"
-        );
-        assert!(
-            self.host_tlb_entries.is_multiple_of(self.host_tlb_assoc),
-            "host TLB geometry"
-        );
-        assert!(
-            (2..=6).contains(&self.page_table_levels),
-            "page table levels"
-        );
-        assert!(
-            self.page_size_bits == 12 || self.page_size_bits == 21,
-            "page size must be 4 KB or 2 MB"
-        );
-        if let Err(e) = self.faults.validate() {
-            panic!("{e}");
+    /// Returns a [`ConfigError`] naming the first field that breaks a rule.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let too_many_gpus = format!("at most {MAX_GPUS} GPUs: sharing masks are 64-bit");
+        let wd = &self.watchdog;
+        #[rustfmt::skip]
+        let rules = [
+            (self.gpus > 0, "gpus", "need at least one GPU"),
+            (self.gpus <= MAX_GPUS, "gpus", &too_many_gpus),
+            (self.cus_per_gpu > 0, "cus_per_gpu", "need at least one CU"),
+            (self.wavefronts_per_cu > 0, "wavefronts_per_cu", "need at least one wavefront"),
+            (matches!(self.page_size_bits, 12 | 21), "page_size_bits", "page size must be 4 KB or 2 MB"),
+            ((2..=6).contains(&self.page_table_levels), "page_table_levels", "page table levels must be in 2..=6"),
+            (self.l1_tlb_entries > 0, "l1_tlb_entries", "L1 TLB needs at least one entry"),
+            (tlb_geometry_ok(self.l2_tlb_entries, self.l2_tlb_assoc), "l2_tlb_assoc",
+             "L2 TLB geometry: entries must be a positive multiple of the associativity"),
+            (tlb_geometry_ok(self.host_tlb_entries, self.host_tlb_assoc), "host_tlb_assoc",
+             "host TLB geometry: entries must be a positive multiple of the associativity"),
+            (self.gmmu_walkers > 0, "gmmu_walkers", "need at least one GMMU walker"),
+            (self.host_walkers > 0, "host_walkers", "need at least one host walker"),
+            (self.gmmu_pwc_entries > 0, "gmmu_pwc_entries", "GMMU PW cache needs an entry"),
+            (self.host_pwc_entries > 0, "host_pwc_entries", "host PW cache needs an entry"),
+            (self.pw_queue_entries > 0, "pw_queue_entries", "PW queue needs an entry"),
+            (self.link_bytes_per_cycle > 0, "link_bytes_per_cycle", "link bandwidth must be positive"),
+            (self.driver.batch_size > 0 && self.driver.walk_threads > 0, "driver",
+             "driver batch size and walk threads must be positive"),
+            (self.asap.is_none_or(|a| (0.0..=1.0).contains(&a)), "asap", "asap accuracy must be in [0, 1]"),
+            (self.checkpoint_interval != Some(0), "checkpoint_interval", "checkpoint_interval must be positive"),
+            (self.placement.remote_access_threshold() != Some(0), "placement", "migration threshold must be positive"),
+            (!wd.enabled || wd.request_timeout > 0, "watchdog", "watchdog request_timeout must be positive"),
+            (!wd.enabled || wd.liveness_interval > 0, "watchdog", "watchdog liveness_interval must be positive"),
+        ];
+        first_broken(&rules)?;
+        if let Some(knobs) = &self.transfw {
+            transfw_rules(&knobs.config).map_err(|msg| ConfigError::new("transfw", msg))?;
         }
-        if let Err(e) = self.faults.validate_topology(self.gpus as usize) {
-            panic!("{e}");
-        }
-        if let Some(interval) = self.checkpoint_interval {
-            assert!(interval > 0, "checkpoint_interval must be positive");
-        }
-        if self.watchdog.enabled {
-            assert!(
-                self.watchdog.request_timeout > 0,
-                "watchdog request_timeout must be positive"
-            );
-            assert!(
-                self.watchdog.liveness_interval > 0,
-                "watchdog liveness_interval must be positive"
-            );
-        }
+        self.faults.validate()?;
+        self.faults.validate_topology(usize::from(self.gpus))?;
         if self.overload.enabled {
-            self.overload.validate();
+            self.overload.validate()?;
         }
         if self.oversub.enabled {
-            self.oversub.validate();
+            self.oversub.validate()?;
         }
+        Ok(())
     }
 
     /// Page size in bytes.
@@ -511,11 +549,13 @@ impl SystemConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`SystemConfig::validate`]).
+    /// Panics with the [`SystemConfig::validate`] error if the
+    /// configuration breaks a rule.
     pub fn build(&self) -> SystemConfig {
         let cfg = self.cfg.clone();
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid configuration: {e}");
+        }
         cfg
     }
 }
@@ -589,6 +629,62 @@ mod tests {
     #[should_panic(expected = "L2 TLB geometry")]
     fn bad_tlb_geometry_rejected() {
         SystemConfig::builder().l2_tlb_entries(100).build();
+    }
+
+    fn delayed(threshold: u32) -> uvm::PolicyKind {
+        uvm::PolicyKind::DelayedMigration { threshold }
+    }
+
+    #[test]
+    fn validate_names_the_broken_field() {
+        fn tf(c: &mut SystemConfig) -> &mut TransFwConfig {
+            &mut c.transfw.insert(TransFwKnobs::full()).config
+        }
+        fn offline_gpu_9() -> FaultPlan {
+            FaultPlan::components(vec![sim_core::ComponentEvent::GpuOffline {
+                gpu: 9,
+                at_cycle: 1,
+                duration: 1,
+            }])
+        }
+        type Edit = fn(&mut SystemConfig);
+        let rows: &[(Edit, &str)] = &[
+            (|c| c.gpus = 0, "gpus"),
+            (|c| c.gpus = MAX_GPUS + 1, "gpus"),
+            (|c| c.l1_tlb_entries = 0, "l1_tlb_entries"),
+            (|c| c.l2_tlb_entries = 100, "l2_tlb_assoc"),
+            (|c| c.l2_tlb_entries = 0, "l2_tlb_assoc"),
+            (|c| c.host_tlb_assoc = 0, "host_tlb_assoc"),
+            (|c| c.gmmu_walkers = 0, "gmmu_walkers"),
+            (|c| c.gmmu_pwc_entries = 0, "gmmu_pwc_entries"),
+            (|c| c.host_pwc_entries = 0, "host_pwc_entries"),
+            (|c| c.pw_queue_entries = 0, "pw_queue_entries"),
+            (|c| c.link_bytes_per_cycle = 0, "link_bytes_per_cycle"),
+            (|c| c.driver.walk_threads = 0, "driver"),
+            (|c| c.asap = Some(2.0), "asap"),
+            (|c| c.checkpoint_interval = Some(0), "checkpoint_interval"),
+            (|c| c.placement = delayed(0), "placement"),
+            (|c| tf(c).prt_fp_bits = 20, "transfw"),
+            (|c| tf(c).ft_fingerprints = 200_000, "transfw"),
+            (|c| tf(c).forward_threshold = f64::NAN, "transfw"),
+            (|c| c.faults.message_drop_prob = 1.5, "faults"),
+            (|c| c.faults = offline_gpu_9(), "faults"),
+            (|c| c.watchdog.liveness_interval = 0, "watchdog"),
+            (|c| c.overload.host_queue_low = 99, "overload"),
+            (|c| c.oversub.capacity_pages = 0, "oversub"),
+        ];
+        for (i, (edit, field)) in rows.iter().enumerate() {
+            let mut cfg = SystemConfig::default();
+            cfg.overload.enabled = true;
+            cfg.oversub.enabled = true;
+            edit(&mut cfg);
+            let e = cfg.validate().expect_err(&format!("row {i}"));
+            assert_eq!(e.field, *field, "row {i}: {e}");
+        }
+        // The bounds the constructors accept: ASAP 0 and Fig. 15's threshold 0.
+        let mut cfg = SystemConfig::builder().asap(Some(0.0)).build();
+        tf(&mut cfg).forward_threshold = 0.0;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

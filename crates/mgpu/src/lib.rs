@@ -76,5 +76,7 @@ pub use overload::{OverloadConfig, OverloadControl, OverloadStats};
 pub use oversub::{OversubConfig, OversubControl, OversubStats};
 pub use protocol::{ProtocolNote, ProtocolTables};
 pub use recovery::{run_with_restore, RestoreOutcome};
-pub use sim_core::{CheckpointLog, ComponentEvent, EpochCheckpoint, FaultPlan, SimError};
+pub use sim_core::{
+    CheckpointLog, ComponentEvent, ConfigError, EpochCheckpoint, FaultPlan, SimError,
+};
 pub use system::System;

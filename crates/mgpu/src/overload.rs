@@ -29,7 +29,7 @@
 use ptw::GpuId;
 use sim_core::checkpoint::StateDigest;
 use sim_core::stats::Histogram;
-use sim_core::{Cycle, ExponentialBackoff, Hysteresis, SimRng, Stream, TokenBucket};
+use sim_core::{ConfigError, Cycle, ExponentialBackoff, Hysteresis, SimRng, Stream, TokenBucket};
 use uvm::TrafficClass;
 
 use crate::request::ReqId;
@@ -109,42 +109,25 @@ impl OverloadConfig {
         }
     }
 
-    /// Checks internal consistency (watermark ordering, rate bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inconsistent configuration; called from
-    /// [`SystemConfig::validate`](crate::SystemConfig::validate).
-    pub fn validate(&self) {
-        assert!(
-            self.host_queue_low <= self.host_queue_high,
-            "host queue watermarks inverted"
-        );
-        assert!(
-            self.gpu_queue_low <= self.gpu_queue_high,
-            "gpu queue watermarks inverted"
-        );
-        assert!(self.mshr_low <= self.mshr_high, "MSHR watermarks inverted");
-        assert!(self.backoff_base > 0, "backoff base must be positive");
-        assert!(
-            self.backoff_cap >= self.backoff_base,
-            "backoff cap below base"
-        );
-        assert!(self.retry_budget > 0, "retry budget must be positive");
-        assert!(
-            self.retry_refill_permille <= 1000,
-            "retry refill above 1000 permille defeats the budget"
-        );
-        assert!(self.breaker_window > 0, "breaker window must be positive");
-        assert!(
-            self.breaker_failure_permille <= 1000,
-            "breaker failure rate is a permille"
-        );
-        assert!(
-            self.breaker_min_samples > 0 && self.breaker_min_samples <= self.breaker_window,
-            "breaker min samples must fit the window"
-        );
-        assert!(self.breaker_probes > 0, "need at least one half-open probe");
+    /// The `overload` rules (watermark ordering, rate bounds) of
+    /// [`SystemConfig::validate`](crate::SystemConfig::validate), its only caller.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        #[rustfmt::skip]
+        let rules = [
+            (self.host_queue_low <= self.host_queue_high, "overload", "host queue watermarks inverted"),
+            (self.gpu_queue_low <= self.gpu_queue_high, "overload", "gpu queue watermarks inverted"),
+            (self.mshr_low <= self.mshr_high, "overload", "MSHR watermarks inverted"),
+            (self.backoff_base > 0, "overload", "backoff base must be positive"),
+            (self.backoff_cap >= self.backoff_base, "overload", "backoff cap below base"),
+            (self.retry_budget > 0, "overload", "retry budget must be positive"),
+            (self.retry_refill_permille <= 1000, "overload", "retry refill above 1000 permille defeats the budget"),
+            (self.breaker_window > 0, "overload", "breaker window must be positive"),
+            (self.breaker_failure_permille <= 1000, "overload", "breaker failure rate is a permille"),
+            ((1..=self.breaker_window).contains(&self.breaker_min_samples), "overload",
+             "breaker min samples must fit the window"),
+            (self.breaker_probes > 0, "overload", "need at least one half-open probe"),
+        ];
+        crate::config::first_broken(&rules)
     }
 }
 
@@ -644,8 +627,8 @@ mod tests {
     fn default_config_is_disabled_and_valid() {
         let cfg = OverloadConfig::default();
         assert!(!cfg.enabled);
-        cfg.validate();
-        OverloadConfig::enabled().validate();
+        assert!(cfg.validate().is_ok());
+        assert!(OverloadConfig::enabled().validate().is_ok());
     }
 
     #[test]

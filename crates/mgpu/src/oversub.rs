@@ -26,7 +26,7 @@
 use ptw::GpuId;
 use sim_core::checkpoint::StateDigest;
 use sim_core::det::DetMap;
-use sim_core::{Cycle, Hysteresis, WindowedCount};
+use sim_core::{ConfigError, Cycle, Hysteresis, WindowedCount};
 use uvm::{EvictPolicy, TrafficClass};
 
 /// Tuning for the oversubscription subsystem. `Default` is **disabled**:
@@ -84,19 +84,16 @@ impl OversubConfig {
         }
     }
 
-    /// Checks internal consistency (watermark ordering, positive sizes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inconsistent configuration; called from
-    /// [`SystemConfig::validate`](crate::SystemConfig::validate).
-    pub fn validate(&self) {
-        assert!(self.capacity_pages > 0, "capacity must be positive");
-        assert!(
-            self.thrash_low <= self.thrash_high,
-            "thrash watermarks inverted"
-        );
-        assert!(self.refault_window > 0, "refault window must be positive");
+    /// The `oversub` rules (watermark ordering, positive sizes) of
+    /// [`SystemConfig::validate`](crate::SystemConfig::validate), its only caller.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        #[rustfmt::skip]
+        let rules = [
+            (self.capacity_pages > 0, "oversub", "capacity must be positive"),
+            (self.thrash_low <= self.thrash_high, "oversub", "thrash watermarks inverted"),
+            (self.refault_window > 0, "oversub", "refault window must be positive"),
+        ];
+        crate::config::first_broken(&rules)
     }
 }
 
@@ -335,9 +332,9 @@ mod tests {
     fn default_config_is_disabled_and_valid() {
         let cfg = OversubConfig::default();
         assert!(!cfg.enabled);
-        cfg.validate();
-        OversubConfig::enabled().validate();
-        OversubConfig::with_capacity(64).validate();
+        assert!(cfg.validate().is_ok());
+        assert!(OversubConfig::enabled().validate().is_ok());
+        assert!(OversubConfig::with_capacity(64).validate().is_ok());
     }
 
     #[test]

@@ -258,13 +258,16 @@ pub struct System {
 }
 
 impl System {
-    /// Builds a system from a validated configuration.
+    /// Builds a system from a configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent.
+    /// Panics with the [`SystemConfig::validate`] error if the
+    /// configuration breaks a rule.
     pub fn new(cfg: SystemConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid configuration: {e}");
+        }
         let levels = cfg.page_table_levels;
         let tf = cfg.transfw.clone();
         let gpus: Vec<Gpu> = (0..cfg.gpus)
@@ -379,11 +382,13 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SimError`] when the run cannot complete soundly: a
-    /// [`SimError::Livelock`] if outstanding work stops making progress for
-    /// a whole liveness interval, [`SimError::CycleCapExceeded`] past
-    /// `watchdog.max_cycles`, a [`SimError::Protocol`] from a handler that
-    /// observed impossible state, or an [`SimError::InvariantViolation`]
-    /// from the post-run auditor.
+    /// [`SimError::Config`] if `workload.initial_owner` names a GPU the
+    /// system does not have, a [`SimError::Livelock`] if outstanding work
+    /// stops making progress for a whole liveness interval,
+    /// [`SimError::CycleCapExceeded`] past `watchdog.max_cycles`, a
+    /// [`SimError::Protocol`] from a handler that observed impossible
+    /// state, or an [`SimError::InvariantViolation`] from the post-run
+    /// auditor.
     pub fn run(mut self, workload: &dyn Workload) -> Result<RunMetrics, SimError> {
         self.cache_hit_rate = workload.data_cache_hit_rate();
         self.metrics.app = workload.name().to_string();
@@ -416,12 +421,11 @@ impl System {
         let shift = self.cfg.page_size_bits - 12;
         for vpn in 0..t_pages {
             let owner = workload.initial_owner(vpn << shift, self.cfg.gpus);
-            if let Some(g) = owner {
-                assert!(
-                    g < self.cfg.gpus,
+            if let Some(g) = owner.filter(|&g| g >= self.cfg.gpus) {
+                return Err(SimError::Config(format!(
                     "initial_owner returned GPU {g} but only {} exist",
                     self.cfg.gpus
-                );
+                )));
             }
             let loc = owner.map_or(Location::Cpu, Location::Gpu);
             self.host.pt.insert(vpn, Pte::new(vpn, loc));

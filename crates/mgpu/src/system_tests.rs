@@ -103,6 +103,18 @@ fn remote_page_faults_and_migrates() {
 }
 
 #[test]
+fn initial_owner_outside_the_system_is_a_config_error() {
+    // Two GPUs, but the workload warms page 1 onto GPU 2.
+    let w = Scripted::new(2, 1, vec![Access::read(0, 5)]).with_owners(vec![Some(0), Some(2)]);
+    match System::new(tiny_cfg()).run(&w) {
+        Err(sim_core::SimError::Config(msg)) => {
+            assert!(msg.contains("initial_owner returned GPU 2"), "{msg}");
+        }
+        other => panic!("expected a config error, got {other:?}"),
+    }
+}
+
+#[test]
 fn repeated_access_hits_l1_tlb() {
     let accesses = vec![Access::read(0, 5); 10];
     let w = Scripted::new(2, 1, accesses).with_owners(vec![Some(0), Some(0)]);

@@ -5,9 +5,9 @@
 //! overload and oversubscription control), the placement-policy axis, the
 //! workload axis, the fault-plan axis and the seeds. The compiler lowers a
 //! file to resolved [`Scenario`] IR built from the *real* configuration
-//! structs, so a compiled scenario is guaranteed to construct a runnable
-//! system — every `validate()` assertion those structs enforce is mirrored
-//! here as a positioned [`Error`].
+//! structs and runs `SystemConfig::validate` on every cell, reporting its
+//! error as a positioned [`Error`] at the offending key, so a compiled
+//! scenario is guaranteed to construct a runnable system.
 //!
 //! The pipeline: [`lexer`] → [`parser`] ([`ast`]) → [`sema`] →
 //! [`Scenario`], with [`Scenario::canonical`] the pretty-printed normal

@@ -2,16 +2,18 @@
 //!
 //! Lowering interprets every key against the real configuration structs
 //! (`SystemConfig`, `TransFwKnobs`, `OverloadConfig`, `OversubConfig`,
-//! `FaultPlan`, `WorkloadSpec`) and *mirrors every `validate()` assertion
-//! those structs enforce as a positioned error*. That mirror is the
-//! front end's core contract: a scenario that compiles will not panic
-//! inside `SystemConfig::validate` or `WorkloadSpec::build` when it runs —
-//! which is what lets the fuzz tests demand error-or-success, never a
-//! panic.
+//! `FaultPlan`, `WorkloadSpec`) and checks only what belongs to the
+//! language: unknown or duplicate keys, value types, seed counts, scales
+//! and workload arguments. Every rule on a configuration value lives in
+//! `SystemConfig::validate`; lowering calls it on each cell of the matrix
+//! and turns the field it names into the position of that key, else of the
+//! enclosing section, else of the scenario. So a scenario that compiles
+//! constructs its systems without a panic, which is what lets the fuzz
+//! tests demand error-or-success, never a panic.
 
 use std::collections::BTreeMap;
 
-use mgpu::{FarFaultMode, PwcKind, SystemConfig, TransFwKnobs, MAX_GPUS};
+use mgpu::{FarFaultMode, PwcKind, SystemConfig, TransFwKnobs};
 use sim_core::fault::ComponentEvent;
 use sim_core::FaultPlan;
 use uvm::{EvictPolicy, PolicyKind};
@@ -169,14 +171,14 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
         system_section(&mut base, section_items(item)?)?;
     }
     base.transfw = match by_key.get("transfw") {
-        Some(item) => transfw_section(section_items(item)?, item.pos())?,
+        Some(item) => transfw_section(section_items(item)?)?,
         None => None,
     };
     if let Some(item) = by_key.get("overload") {
-        overload_section(&mut base.overload, section_items(item)?, item.pos())?;
+        overload_section(&mut base.overload, section_items(item)?)?;
     }
     if let Some(item) = by_key.get("oversub") {
-        oversub_section(&mut base.oversub, section_items(item)?, item.pos())?;
+        oversub_section(&mut base.oversub, section_items(item)?)?;
     }
 
     let default_scale = match by_key.get("scale") {
@@ -196,16 +198,16 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
         None => vec![1],
     };
 
-    let placements = match by_key.get("placement") {
+    let (placements, placement_pos) = match by_key.get("placement") {
         Some(item) => {
             let vs = list_of(binding_value(item)?);
             let mut ps = Vec::new();
-            for v in vs {
+            for v in &vs {
                 ps.push(placement_value(v)?);
             }
-            ps
+            (ps, vs.iter().map(|v| v.pos).collect())
         }
-        None => vec![PolicyKind::FirstTouch],
+        None => (vec![PolicyKind::FirstTouch], vec![decl.pos]),
     };
 
     let workloads = match by_key.get("workload") {
@@ -228,20 +230,19 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
         return Err(Error::at(decl.pos, "workload list must be nonempty".into()));
     }
 
-    let (faults, faults_pos) = match by_key.get("faults") {
+    let (faults, fault_pos) = match by_key.get("faults") {
         Some(item) => {
             let vs = list_of(binding_value(item)?);
-            let mut fs = Vec::new();
-            for v in vs {
-                fs.push((fault_value(v)?, v.pos));
-            }
-            if fs.is_empty() {
+            if vs.is_empty() {
                 return Err(Error::at(item.pos(), "faults list must be nonempty".into()));
             }
-            let pos = fs[0].1;
-            (fs.into_iter().map(|(f, _)| f).collect(), pos)
+            let mut fs = Vec::new();
+            for v in &vs {
+                fs.push(fault_value(v)?);
+            }
+            (fs, vs.iter().map(|v| v.pos).collect())
         }
-        None => (vec![FaultPlan::none()], decl.pos),
+        None => (vec![FaultPlan::none()], vec![decl.pos]),
     };
     if placements.is_empty() {
         return Err(Error::at(
@@ -250,22 +251,42 @@ fn lower_scenario(decl: &ScenarioDecl) -> Result<Scenario, Error> {
         ));
     }
 
-    // Cross-cutting checks that need the whole scenario: fault topology
-    // against the GPU count.
-    for f in &faults {
-        if let Err(e) = f.validate_topology(usize::from(base.gpus)) {
-            return Err(Error::at(faults_pos, format!("{e}")));
-        }
-    }
-
-    Ok(Scenario {
+    let sc = Scenario {
         name: decl.name.clone(),
         seeds,
         base,
         placements,
         workloads,
         faults,
-    })
+    };
+    // `cells()` nests placement → workload → fault, so a cell's index names
+    // the placement and fault plan it was built from.
+    let per_placement = sc.workloads.len() * sc.faults.len();
+    for (i, cell) in sc.cells().iter().enumerate() {
+        cell.cfg.validate().map_err(|e| {
+            let pos = match e.field {
+                "placement" => placement_pos[i / per_placement],
+                "faults" => fault_pos[i % sc.faults.len()],
+                field => field_pos(decl, field),
+            };
+            Error::at(pos, e.msg)
+        })?;
+    }
+    Ok(sc)
+}
+
+/// Where a configuration error on `field` points: the key that sets it,
+/// else the `system` section (every field without a key of its own lives
+/// there), else the scenario.
+fn field_pos(decl: &ScenarioDecl, field: &str) -> Pos {
+    let key_in = |items: &[Item]| items.iter().find(|i| i.key() == field).map(Item::pos);
+    if let Some(pos) = key_in(&decl.items) {
+        return pos;
+    }
+    match decl.items.iter().find(|i| i.key() == "system") {
+        Some(Item::Section(system)) => key_in(&system.items).unwrap_or(system.pos),
+        Some(Item::Binding(_)) | None => decl.pos,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -307,87 +328,15 @@ fn index_items(items: &[Item]) -> Result<BTreeMap<&str, &Item>, Error> {
 }
 
 fn system_section(cfg: &mut SystemConfig, items: &[Item]) -> Result<(), Error> {
-    let map = index_items(items)?;
-    for (key, item) in &map {
-        match *key {
+    for (key, item) in index_items(items)? {
+        match key {
             "ideal" => ideal_section(&mut cfg.ideal, section_items(item)?)?,
-            "watchdog" => watchdog_section(&mut cfg.watchdog, section_items(item)?, item.pos())?,
+            "watchdog" => watchdog_section(&mut cfg.watchdog, section_items(item)?)?,
             _ => {
                 let v = binding_value(item)?;
                 system_key(cfg, key, v)?;
             }
         }
-    }
-    // Mirror of `SystemConfig::validate` (the parts the section controls),
-    // reported at the offending key where one exists.
-    let at = |key: &str| map.get(key).map_or(Pos { line: 0, col: 0 }, |i| i.pos());
-    let geom = |key: &str, ok: bool, msg: &str| -> Result<(), Error> {
-        if ok {
-            Ok(())
-        } else {
-            Err(Error::at(at(key), msg.into()))
-        }
-    };
-    geom("gpus", cfg.gpus > 0, "need at least one GPU")?;
-    geom(
-        "gpus",
-        cfg.gpus <= MAX_GPUS,
-        &format!("at most {MAX_GPUS} GPUs: sharing masks are 64-bit"),
-    )?;
-    geom("cus_per_gpu", cfg.cus_per_gpu > 0, "need at least one CU")?;
-    geom(
-        "wavefronts_per_cu",
-        cfg.wavefronts_per_cu > 0,
-        "need at least one wavefront",
-    )?;
-    geom(
-        "l2_tlb_assoc",
-        cfg.l2_tlb_assoc > 0 && cfg.l2_tlb_entries.is_multiple_of(cfg.l2_tlb_assoc),
-        "L2 TLB entries must be a positive multiple of the associativity",
-    )?;
-    geom(
-        "host_tlb_assoc",
-        cfg.host_tlb_assoc > 0 && cfg.host_tlb_entries.is_multiple_of(cfg.host_tlb_assoc),
-        "host TLB entries must be a positive multiple of the associativity",
-    )?;
-    geom(
-        "page_table_levels",
-        (2..=6).contains(&cfg.page_table_levels),
-        "page table levels must be in 2..=6",
-    )?;
-    geom(
-        "page_size_bits",
-        cfg.page_size_bits == 12 || cfg.page_size_bits == 21,
-        "page size must be 4 KB (12) or 2 MB (21)",
-    )?;
-    geom(
-        "gmmu_walkers",
-        cfg.gmmu_walkers > 0,
-        "need at least one GMMU walker",
-    )?;
-    geom(
-        "host_walkers",
-        cfg.host_walkers > 0,
-        "need at least one host walker",
-    )?;
-    geom(
-        "pw_queue_entries",
-        cfg.pw_queue_entries > 0,
-        "PW queue must hold at least one entry",
-    )?;
-    if let Some(interval) = cfg.checkpoint_interval {
-        geom(
-            "checkpoint_interval",
-            interval > 0,
-            "checkpoint_interval must be positive (or `none`)",
-        )?;
-    }
-    if let Some(acc) = cfg.asap {
-        geom(
-            "asap",
-            acc > 0.0 && acc <= 1.0,
-            "asap accuracy must be in (0, 1]",
-        )?;
     }
     Ok(())
 }
@@ -468,7 +417,7 @@ fn ideal_section(ideal: &mut mgpu::IdealKnobs, items: &[Item]) -> Result<(), Err
     Ok(())
 }
 
-fn watchdog_section(wd: &mut mgpu::WatchdogConfig, items: &[Item], pos: Pos) -> Result<(), Error> {
+fn watchdog_section(wd: &mut mgpu::WatchdogConfig, items: &[Item]) -> Result<(), Error> {
     for (key, item) in index_items(items)? {
         let v = binding_value(item)?;
         match key {
@@ -482,24 +431,10 @@ fn watchdog_section(wd: &mut mgpu::WatchdogConfig, items: &[Item], pos: Pos) -> 
             }
         }
     }
-    if wd.enabled {
-        if wd.request_timeout == 0 {
-            return Err(Error::at(
-                pos,
-                "watchdog request_timeout must be positive".into(),
-            ));
-        }
-        if wd.liveness_interval == 0 {
-            return Err(Error::at(
-                pos,
-                "watchdog liveness_interval must be positive".into(),
-            ));
-        }
-    }
     Ok(())
 }
 
-fn transfw_section(items: &[Item], pos: Pos) -> Result<Option<TransFwKnobs>, Error> {
+fn transfw_section(items: &[Item]) -> Result<Option<TransFwKnobs>, Error> {
     let mut knobs = TransFwKnobs::full();
     let mut enabled = true;
     for (key, item) in index_items(items)? {
@@ -521,43 +456,10 @@ fn transfw_section(items: &[Item], pos: Pos) -> Result<Option<TransFwKnobs>, Err
             }
         }
     }
-    if !enabled {
-        return Ok(None);
-    }
-    let c = &knobs.config;
-    let check = |ok: bool, msg: &str| -> Result<(), Error> {
-        if ok {
-            Ok(())
-        } else {
-            Err(Error::at(pos, msg.into()))
-        }
-    };
-    check(
-        c.prt_slots > 0 && c.ft_slots > 0,
-        "filter slot counts must be positive",
-    )?;
-    check(
-        c.prt_fingerprints >= c.prt_slots && c.ft_fingerprints >= c.ft_slots,
-        "filters need at least one bucket of fingerprints",
-    )?;
-    check(
-        (1..=16).contains(&c.prt_fp_bits) && (1..=16).contains(&c.ft_fp_bits),
-        "fingerprint widths must be in 1..=16 bits",
-    )?;
-    check(
-        c.prt_fingerprints.div_ceil(c.prt_slots) <= 1 << 16
-            && c.ft_fingerprints.div_ceil(c.ft_slots) <= 1 << 16,
-        "filters hold at most 65536 buckets",
-    )?;
-    check(c.vpn_mask_bits <= 24, "vpn_mask_bits must be at most 24")?;
-    check(
-        c.forward_threshold > 0.0 && c.forward_threshold.is_finite(),
-        "forward_threshold must be positive",
-    )?;
-    Ok(Some(knobs))
+    Ok(enabled.then_some(knobs))
 }
 
-fn overload_section(ov: &mut mgpu::OverloadConfig, items: &[Item], pos: Pos) -> Result<(), Error> {
+fn overload_section(ov: &mut mgpu::OverloadConfig, items: &[Item]) -> Result<(), Error> {
     for (key, item) in index_items(items)? {
         let v = binding_value(item)?;
         match key {
@@ -583,47 +485,10 @@ fn overload_section(ov: &mut mgpu::OverloadConfig, items: &[Item], pos: Pos) -> 
             }
         }
     }
-    // Mirror of `OverloadConfig::validate` (which is only consulted when
-    // the subsystem is enabled).
-    if ov.enabled {
-        let check = |ok: bool, msg: &str| -> Result<(), Error> {
-            if ok {
-                Ok(())
-            } else {
-                Err(Error::at(pos, msg.into()))
-            }
-        };
-        check(
-            ov.host_queue_low <= ov.host_queue_high,
-            "host queue watermarks inverted",
-        )?;
-        check(
-            ov.gpu_queue_low <= ov.gpu_queue_high,
-            "gpu queue watermarks inverted",
-        )?;
-        check(ov.mshr_low <= ov.mshr_high, "MSHR watermarks inverted")?;
-        check(ov.backoff_base > 0, "backoff base must be positive")?;
-        check(ov.backoff_cap >= ov.backoff_base, "backoff cap below base")?;
-        check(ov.retry_budget > 0, "retry budget must be positive")?;
-        check(
-            ov.retry_refill_permille <= 1000,
-            "retry refill above 1000 permille defeats the budget",
-        )?;
-        check(ov.breaker_window > 0, "breaker window must be positive")?;
-        check(
-            ov.breaker_failure_permille <= 1000,
-            "breaker failure rate is a permille",
-        )?;
-        check(
-            ov.breaker_min_samples > 0 && ov.breaker_min_samples <= ov.breaker_window,
-            "breaker min samples must fit the window",
-        )?;
-        check(ov.breaker_probes > 0, "need at least one half-open probe")?;
-    }
     Ok(())
 }
 
-fn oversub_section(os: &mut mgpu::OversubConfig, items: &[Item], pos: Pos) -> Result<(), Error> {
+fn oversub_section(os: &mut mgpu::OversubConfig, items: &[Item]) -> Result<(), Error> {
     for (key, item) in index_items(items)? {
         let v = binding_value(item)?;
         match key {
@@ -649,22 +514,6 @@ fn oversub_section(os: &mut mgpu::OversubConfig, items: &[Item], pos: Pos) -> Re
                 return Err(Error::at(v.pos, format!("unknown oversub key `{other}`")));
             }
         }
-    }
-    // Mirror of `OversubConfig::validate`.
-    if os.enabled {
-        let check = |ok: bool, msg: &str| -> Result<(), Error> {
-            if ok {
-                Ok(())
-            } else {
-                Err(Error::at(pos, msg.into()))
-            }
-        };
-        check(os.capacity_pages > 0, "capacity must be positive")?;
-        check(
-            os.thrash_low <= os.thrash_high,
-            "thrash watermarks inverted",
-        )?;
-        check(os.refault_window > 0, "refault window must be positive")?;
     }
     Ok(())
 }
@@ -720,12 +569,6 @@ fn placement_value(v: &Value) -> Result<PolicyKind, Error> {
         "delayed_migration" => {
             let m = bind_args(name, v.pos, args, &["threshold"])?;
             let threshold = want_u32(req(&m, name, v.pos, "threshold")?)?;
-            if threshold == 0 {
-                return Err(Error::at(
-                    v.pos,
-                    "migration threshold must be positive".into(),
-                ));
-            }
             Ok(PolicyKind::DelayedMigration { threshold })
         }
         "prefetch_neighborhood" => {
@@ -841,7 +684,7 @@ fn fault_value(v: &Value) -> Result<FaultPlan, Error> {
             ))
         }
     };
-    let plan = match name {
+    Ok(match name {
         "none" => {
             no_args(name, args)?;
             FaultPlan::none()
@@ -927,11 +770,7 @@ fn fault_value(v: &Value) -> Result<FaultPlan, Error> {
             p
         }
         other => return Err(Error::at(v.pos, format!("unknown fault plan `{other}`"))),
-    };
-    if let Err(e) = plan.validate() {
-        return Err(Error::at(v.pos, format!("{e}")));
-    }
-    Ok(plan)
+    })
 }
 
 fn event_value(v: &Value) -> Result<ComponentEvent, Error> {
@@ -1226,6 +1065,18 @@ mod tests {
                 "page size",
             ),
             (
+                r#"scenario "s" { workload = phase_shift system { l1_tlb_entries = 0 } }"#,
+                "L1 TLB",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift system { gmmu_pwc_entries = 0 } }"#,
+                "GMMU PW cache",
+            ),
+            (
+                r#"scenario "s" { workload = phase_shift system { host_pwc_entries = 0 } }"#,
+                "host PW cache",
+            ),
+            (
                 r#"scenario "s" { workload = phase_shift faults = message_loss(seed = 1, p = 1.5) }"#,
                 "not in [0, 1]",
             ),
@@ -1276,6 +1127,44 @@ mod tests {
                 e.msg.contains(needle),
                 "source {src}: error `{e}` does not mention `{needle}`"
             );
+        }
+    }
+
+    #[test]
+    fn config_errors_point_at_the_key_or_its_section() {
+        let at = |line, col| Pos { line, col };
+        let cases: &[(&str, Pos)] = &[
+            // The key that is wrong.
+            (
+                "scenario \"s\" {\n  workload = phase_shift\n  system { gpus = 0 }\n}",
+                at(3, 12),
+            ),
+            // `l2_tlb_assoc` is absent: its section.
+            (
+                "scenario \"s\" {\n  workload = phase_shift\n  system { l2_tlb_entries = 100 }\n}",
+                at(3, 3),
+            ),
+            (
+                "scenario \"s\" {\n  workload = phase_shift\n  system {\n    watchdog { request_timeout = 0 }\n  }\n}",
+                at(4, 5),
+            ),
+            (
+                "scenario \"s\" {\n  workload = phase_shift\n  transfw { prt_fp_bits = 20 }\n}",
+                at(3, 3),
+            ),
+            // The plan or policy of the cell that breaks the rule.
+            (
+                "scenario \"s\" {\n  workload = phase_shift\n  faults = [none, message_loss(seed = 1, p = 2.0)]\n}",
+                at(3, 19),
+            ),
+            (
+                "scenario \"s\" {\n  workload = [phase_shift, burst]\n  placement = [first_touch, delayed_migration(threshold = 0)]\n}",
+                at(3, 29),
+            ),
+        ];
+        for (src, pos) in cases {
+            let e = compile_one(src).expect_err(src);
+            assert_eq!(e.pos, *pos, "source {src}: {e}");
         }
     }
 

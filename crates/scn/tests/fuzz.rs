@@ -2,7 +2,8 @@
 //!
 //! The contract under test: `scn::compile` (lexer → parser → sema) returns
 //! a positioned [`scn::Error`] for every malformed input and *never*
-//! panics — the daemon feeds untrusted scenario text straight into it. The
+//! panics, and every cell of a scenario that compiles constructs a system
+//! without a panic. The
 //! generators are seeded with [`sim_core::SimRng`], so every run explores
 //! the same inputs and a failure reproduces deterministically.
 
@@ -102,7 +103,9 @@ fn random_token_streams_never_panic() {
 /// Single random mutations (delete / insert / duplicate / replace one
 /// byte position's character) of every committed scenario: near-valid
 /// inputs stress the deepest sema paths. When a mutant still compiles, its
-/// canonical form must round-trip with an identical digest.
+/// canonical form must round-trip with an identical digest, and every
+/// cell's configuration must construct a `System` ("compiles ⇒
+/// constructs"); each distinct configuration is constructed once.
 #[test]
 fn mutated_committed_scenarios_never_panic() {
     let sources = scn::committed_sources().expect("readable scenarios/ directory");
@@ -112,6 +115,7 @@ fn mutated_committed_scenarios_never_panic() {
         '{', '}', '=', '"', ',', '(', ')', '[', ']', '0', '9', 'x', '.',
     ];
     let mut rng = SimRng::new(0x9e37_79b9);
+    let mut constructed: Vec<mgpu::SystemConfig> = Vec::new();
     for (_, src) in &sources {
         let chars: Vec<char> = src.chars().collect();
         for _ in 0..400 {
@@ -139,7 +143,52 @@ fn mutated_committed_scenarios_never_panic() {
                         .expect("canonical form of a valid mutant recompiles");
                     assert_eq!(sc, reparsed, "mutant canonical round-trip");
                     assert_eq!(sc.digest(), reparsed.digest());
+                    for cell in sc.cells() {
+                        if constructed.contains(&cell.cfg) {
+                            continue;
+                        }
+                        let built =
+                            catch_unwind(AssertUnwindSafe(|| mgpu::System::new(cell.cfg.clone())));
+                        assert!(
+                            built.is_ok(),
+                            "System::new panicked on a cell of mutant:\n{mutant}"
+                        );
+                        constructed.push(cell.cfg);
+                    }
                 }
+            }
+        }
+    }
+}
+
+/// Every number in the canonical form of a scenario with every subsystem
+/// on (which spells out each key, defaults included), set in turn to the
+/// boundary values 0 and 1: whatever compiles must construct.
+#[test]
+fn boundary_values_compile_only_if_they_construct() {
+    let src = r#"scenario "b" {
+        transfw { enabled = true } overload { enabled = true } oversub { enabled = true }
+        workload = phase_shift
+    }"#;
+    let canonical = scn::compile_one(src).expect("valid scenario").canonical();
+    let lines: Vec<&str> = canonical.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let Some((key, value)) = line.split_once(" = ") else {
+            continue;
+        };
+        if !value.starts_with(|c: char| c.is_ascii_digit()) {
+            continue;
+        }
+        for boundary in ["0", "1"] {
+            let edited = format!("{key} = {boundary}");
+            let mut mutant = lines.clone();
+            mutant[i] = &edited;
+            let Ok(scenarios) = scn::compile(&mutant.join("\n")) else {
+                continue;
+            };
+            for cell in scenarios.iter().flat_map(scn::Scenario::cells) {
+                let built = catch_unwind(AssertUnwindSafe(|| mgpu::System::new(cell.cfg)));
+                assert!(built.is_ok(), "System::new panicked on `{}`", edited.trim());
             }
         }
     }

@@ -63,6 +63,44 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A broken configuration rule: the field at fault and what is wrong.
+///
+/// `field` names a `mgpu::SystemConfig` field (`gpus`, `l2_tlb_assoc`,
+/// `transfw`, `overload`, `faults`, ...); the `.scn` language uses the same
+/// names for its keys and sections, which is how a compile error finds its
+/// source position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The configuration field whose value breaks the rule.
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub msg: String,
+}
+
+impl ConfigError {
+    /// An error on `field`.
+    pub fn new(field: &'static str, msg: impl Into<String>) -> Self {
+        Self {
+            field,
+            msg: msg.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.msg)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> Self {
+        SimError::Config(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +128,15 @@ mod tests {
     fn is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
         takes_err(&SimError::Config("bad".into()));
+    }
+
+    #[test]
+    fn config_error_names_its_field() {
+        let e = SimError::from(ConfigError::new("gpus", "need at least one GPU"));
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration: gpus: need at least one GPU"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! no random numbers and injects nothing, which is what keeps fault-free
 //! runs bit-identical to a build without the resilience layer.
 
-use crate::{Cycle, SimRng, Stream};
+use crate::{ConfigError, Cycle, SimRng, Stream};
 
 /// A scheduled component-level failure: unlike the probabilistic message
 /// and walker faults, these fire at a declared cycle and (for the windowed
@@ -192,7 +192,12 @@ impl FaultPlan {
     }
 
     /// Validates the plan's probabilities and burst geometry.
-    pub fn validate(&self) -> Result<(), crate::SimError> {
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, as an error on the `faults` field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let broken = |msg: String| Err(ConfigError::new("faults", msg));
         for (name, p) in [
             ("message_drop_prob", self.message_drop_prob),
             ("message_delay_prob", self.message_delay_prob),
@@ -201,30 +206,28 @@ impl FaultPlan {
             ("table_update_drop_prob", self.table_update_drop_prob),
         ] {
             if !(0.0..=1.0).contains(&p) {
-                return Err(crate::SimError::Config(format!(
-                    "{name} = {p} not in [0, 1]"
-                )));
+                return broken(format!("{name} = {p} not in [0, 1]"));
             }
         }
         if self.host_burst_period > 0 && self.host_burst_len > self.host_burst_period {
-            return Err(crate::SimError::Config(format!(
+            return broken(format!(
                 "host_burst_len {} exceeds host_burst_period {}",
                 self.host_burst_len, self.host_burst_period
-            )));
+            ));
         }
         for ev in &self.component_events {
             match *ev {
                 ComponentEvent::LinkPartition { a, b, .. } if a == b => {
-                    return Err(crate::SimError::Config(format!(
+                    return broken(format!(
                         "link partition endpoints must differ (got {a}=={b})"
-                    )));
+                    ));
                 }
                 ComponentEvent::GpuOffline {
                     gpu, duration: 0, ..
                 } => {
-                    return Err(crate::SimError::Config(format!(
+                    return broken(format!(
                         "GPU {gpu} offline duration must be positive (it must rejoin)"
-                    )));
+                    ));
                 }
                 ComponentEvent::GpuOffline { .. }
                 | ComponentEvent::LinkPartition { .. }
@@ -236,7 +239,12 @@ impl FaultPlan {
 
     /// Validates component-event GPU indices against the system's GPU count
     /// (a separate pass because the plan itself does not know the topology).
-    pub fn validate_topology(&self, gpu_count: usize) -> Result<(), crate::SimError> {
+    ///
+    /// # Errors
+    ///
+    /// The first event naming a GPU outside `0..gpu_count`, on `faults`.
+    pub fn validate_topology(&self, gpu_count: usize) -> Result<(), ConfigError> {
+        let broken = |msg: String| Err(ConfigError::new("faults", msg));
         for ev in &self.component_events {
             let bad = match *ev {
                 ComponentEvent::GpuOffline { gpu, .. } => (gpu >= gpu_count).then_some(gpu),
@@ -246,9 +254,9 @@ impl FaultPlan {
                 ComponentEvent::HostMmuFailover { .. } => None,
             };
             if let Some(g) = bad {
-                return Err(crate::SimError::Config(format!(
+                return broken(format!(
                     "component event references GPU {g} but the system has {gpu_count} GPU(s)"
-                )));
+                ));
             }
         }
         Ok(())

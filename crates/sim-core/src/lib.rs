@@ -47,7 +47,7 @@ pub mod stats;
 pub use checkpoint::{CheckpointLog, EpochCheckpoint, StateDigest};
 pub use counterexample::Counterexample;
 pub use det::{DetMap, DetSet};
-pub use error::SimError;
+pub use error::{ConfigError, SimError};
 pub use fault::{ComponentEvent, FaultInjector, FaultPlan, InjectStats, MessageFate};
 pub use migration::{MigrationEvent, MigrationKind, MigrationLog};
 pub use overload::{ExponentialBackoff, Hysteresis, TokenBucket, WindowedCount};
