@@ -116,6 +116,13 @@ impl Ft {
         self.filter.is_empty()
     }
 
+    /// Fingerprint cells in the table (excluding the stash). Once
+    /// [`len`](Self::len) exceeds it, every further insert runs the full
+    /// kick chain.
+    pub fn capacity(&self) -> usize {
+        self.filter.capacity()
+    }
+
     /// SRAM bits of the table (for the §IV-E area comparison).
     pub fn storage_bits(&self) -> u64 {
         self.filter.storage_bits()

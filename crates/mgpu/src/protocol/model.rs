@@ -40,7 +40,7 @@ use super::{self as protocol, ProtocolTables};
 /// one shared-transition hook or one action handler misbehave in a way a
 /// historically plausible bug would, and the checker must find each within
 /// a bounded state budget. Enabled only through
-/// [`ProtocolState::with_mutation`] (test builds / the `checker-mutations`
+/// `ProtocolState::with_mutation` (test builds / the `checker-mutations`
 /// feature).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {

@@ -12,7 +12,7 @@
 //! The pipeline: [`lexer`] → [`parser`] ([`ast`]) → [`sema`] →
 //! [`Scenario`], with [`Scenario::canonical`] the pretty-printed normal
 //! form and [`Scenario::digest`] a stable identity over it (see
-//! [`print`]). The grammar's EBNF lives in DESIGN.md.
+//! [`print`](mod@print)). The grammar's EBNF lives in DESIGN.md.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! Recursive-descent parser: token stream to [`ast::File`].
+//! Recursive-descent parser: token stream to [`File`].
 //!
 //! The grammar is small enough for one token of lookahead everywhere (see
 //! the EBNF in DESIGN.md). The parser is total over arbitrary token

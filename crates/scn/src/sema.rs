@@ -567,12 +567,12 @@ fn placement_value(v: &Value) -> Result<PolicyKind, Error> {
             Ok(PolicyKind::ReadDuplicate)
         }
         "delayed_migration" => {
-            let m = bind_args(name, v.pos, args, &["threshold"])?;
+            let m = bind_args(name, args, &["threshold"])?;
             let threshold = want_u32(req(&m, name, v.pos, "threshold")?)?;
             Ok(PolicyKind::DelayedMigration { threshold })
         }
         "prefetch_neighborhood" => {
-            let m = bind_args(name, v.pos, args, &["radius"])?;
+            let m = bind_args(name, args, &["radius"])?;
             let radius = want_u32(req(&m, name, v.pos, "radius")?)?;
             Ok(PolicyKind::PrefetchNeighborhood { radius })
         }
@@ -608,7 +608,7 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
     };
     match name {
         "app" => {
-            let m = bind_args(name, v.pos, args, &["name", "scale"])?;
+            let m = bind_args(name, args, &["name", "scale"])?;
             let app_name = want_str(req(&m, name, v.pos, "name")?)?;
             let scale = scale_of(&m)?;
             WorkloadSpec::app(app_name, scale)
@@ -617,7 +617,6 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
         "uniform" => {
             let m = bind_args(
                 name,
-                v.pos,
                 args,
                 &["pages", "ctas", "accesses", "write_frac", "scale"],
             )?;
@@ -641,13 +640,13 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
             Ok(spec)
         }
         "phase_shift" => {
-            let m = bind_args(name, v.pos, args, &["scale"])?;
+            let m = bind_args(name, args, &["scale"])?;
             Ok(WorkloadSpec::PhaseShift {
                 scale: scale_of(&m)?,
             })
         }
         "burst" => {
-            let m = bind_args(name, v.pos, args, &["scale", "load"])?;
+            let m = bind_args(name, args, &["scale", "load"])?;
             let load = match m.get("load") {
                 Some(v) => {
                     let l = want_u64(v)?;
@@ -664,7 +663,7 @@ fn workload_value(v: &Value, default_scale: f64) -> Result<WorkloadSpec, Error> 
             })
         }
         "oversub_shift" => {
-            let m = bind_args(name, v.pos, args, &["scale"])?;
+            let m = bind_args(name, args, &["scale"])?;
             Ok(WorkloadSpec::OversubShift {
                 scale: scale_of(&m)?,
             })
@@ -690,14 +689,14 @@ fn fault_value(v: &Value) -> Result<FaultPlan, Error> {
             FaultPlan::none()
         }
         "message_loss" => {
-            let m = bind_args(name, v.pos, args, &["seed", "p"])?;
+            let m = bind_args(name, args, &["seed", "p"])?;
             FaultPlan::message_loss(
                 want_u64(req(&m, name, v.pos, "seed")?)?,
                 want_f64(req(&m, name, v.pos, "p")?)?,
             )
         }
         "message_chaos" => {
-            let m = bind_args(name, v.pos, args, &["seed", "p", "delay"])?;
+            let m = bind_args(name, args, &["seed", "p", "delay"])?;
             FaultPlan::message_chaos(
                 want_u64(req(&m, name, v.pos, "seed")?)?,
                 want_f64(req(&m, name, v.pos, "p")?)?,
@@ -707,7 +706,6 @@ fn fault_value(v: &Value) -> Result<FaultPlan, Error> {
         "plan" => {
             let m = bind_args(
                 name,
-                v.pos,
                 args,
                 &[
                     "seed",
@@ -782,7 +780,7 @@ fn event_value(v: &Value) -> Result<ComponentEvent, Error> {
     };
     match name.as_str() {
         "gpu_offline" => {
-            let m = bind_args(name, v.pos, args, &["gpu", "at", "dur"])?;
+            let m = bind_args(name, args, &["gpu", "at", "dur"])?;
             Ok(ComponentEvent::GpuOffline {
                 gpu: want_usize(req(&m, name, v.pos, "gpu")?)?,
                 at_cycle: want_u64(req(&m, name, v.pos, "at")?)?,
@@ -790,7 +788,7 @@ fn event_value(v: &Value) -> Result<ComponentEvent, Error> {
             })
         }
         "link_partition" => {
-            let m = bind_args(name, v.pos, args, &["a", "b", "at", "dur"])?;
+            let m = bind_args(name, args, &["a", "b", "at", "dur"])?;
             Ok(ComponentEvent::LinkPartition {
                 a: want_usize(req(&m, name, v.pos, "a")?)?,
                 b: want_usize(req(&m, name, v.pos, "b")?)?,
@@ -799,7 +797,7 @@ fn event_value(v: &Value) -> Result<ComponentEvent, Error> {
             })
         }
         "host_failover" => {
-            let m = bind_args(name, v.pos, args, &["at", "stall"])?;
+            let m = bind_args(name, args, &["at", "stall"])?;
             Ok(ComponentEvent::HostMmuFailover {
                 at_cycle: want_u64(req(&m, name, v.pos, "at")?)?,
                 stall: want_u64(req(&m, name, v.pos, "stall")?)?,
@@ -829,7 +827,6 @@ fn list_of(v: &Value) -> Vec<&Value> {
 /// duplicates/unknowns/excess are errors.
 fn bind_args<'a>(
     call: &str,
-    pos: Pos,
     args: &'a [Arg],
     allowed: &[&'static str],
 ) -> Result<BTreeMap<&'static str, &'a Value>, Error> {
@@ -864,7 +861,6 @@ fn bind_args<'a>(
             ));
         }
     }
-    let _ = pos;
     Ok(map)
 }
 

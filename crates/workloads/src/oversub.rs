@@ -10,11 +10,11 @@
 //! streaming traffic that pollutes an LRU stack and gives the thrash gate's
 //! background shedding something to cut.
 //!
-//! Sized against [`OversubConfig::capacity_pages`]
-//! (`mgpu::OversubConfig`), a working set larger than a GPU's capacity
-//! forces steady-state eviction; the epoch shifts then turn yesterday's
-//! residents into dead weight and today's window into a refault storm —
-//! the input the thrash detector is built for.
+//! Sized against [`mgpu::OversubConfig::capacity_pages`], a working set
+//! larger than a GPU's capacity forces steady-state eviction; the epoch
+//! shifts then turn yesterday's residents into dead weight and today's
+//! window into a refault storm — the input the thrash detector is built
+//! for.
 
 use mgpu::workload::{Access, AccessStream, Workload};
 use sim_core::{Cycle, SimRng, Stream};

@@ -3,7 +3,12 @@
 //! recovering lost work, and an *empty* fault plan must leave the simulator
 //! bit-identical to a build without the resilience layer.
 
+use std::sync::{Arc, Mutex};
+
+use transfw_sim::experiments::run_json;
+use transfw_sim::mgpu::CheckpointLog;
 use transfw_sim::prelude::*;
+use transfw_sim::transfw::Ft;
 
 fn faulty(cfg: SystemConfig, plan: FaultPlan) -> SystemConfig {
     SystemConfig {
@@ -173,6 +178,55 @@ fn table_pollution_and_stale_entries_are_survivable() {
         .unwrap();
     assert_eq!(m.mem_instructions, (app.ctas * app.accesses_per_cta) as u64);
     assert_eq!(m.resilience.requests_retired, m.translation_requests);
+}
+
+/// FNV-1a 64 of `text`.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn overflowing_warm_fill_is_pinned_under_pollution_and_lossy_updates() {
+    // Once warm placement overflows the FT, `System::run` fills the FT on
+    // a scoped worker while the calling thread fills the page tables, the
+    // directory and the PRTs (drawing every lossy-update gate). The first
+    // epoch digest covers every table and RNG position, and the run JSON
+    // every counter. Both pins are the values of a single-threaded fill:
+    // pollution keys first, then one FT insert per warm page in VPN order,
+    // interleaved with the PRT fills.
+    let app = workloads::app("MT").unwrap().scaled(0.1);
+    let plan = FaultPlan {
+        table_pollution: 200,
+        table_update_drop_prob: 0.2,
+        ..FaultPlan::none()
+    };
+    let mut cfg = faulty(SystemConfig::with_transfw(), plan);
+    cfg.checkpoint_interval = Some(1_000);
+    let ft_cells = Ft::new(&cfg.transfw.as_ref().unwrap().config, cfg.gpus).capacity();
+    let warm = (0..app.footprint_pages())
+        .filter(|&vpn| app.initial_owner(vpn, cfg.gpus).is_some())
+        .count();
+    assert!(
+        warm > ft_cells,
+        "{warm} warm pages must overflow {ft_cells} FT cells"
+    );
+
+    let sink = Arc::new(Mutex::new(CheckpointLog::new()));
+    let m = System::new(cfg.clone())
+        .with_checkpoint_sink(sink.clone())
+        .run(&app)
+        .unwrap();
+    let first = sink.lock().unwrap().epochs()[0].digest;
+    let json = fnv1a64(&run_json(&m, cfg.seed));
+    assert_eq!(first, 0xe770_e036_4a1f_12eb, "first epoch digest moved");
+    assert_eq!(
+        json,
+        0xefc5_e3e3_4596_3dae,
+        "run JSON moved: {}",
+        run_json(&m, cfg.seed)
+    );
 }
 
 #[test]
