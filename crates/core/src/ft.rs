@@ -64,12 +64,12 @@ impl Ft {
         if let Some(old) = old_owner {
             self.filter.remove(self.key(vpn, old));
         }
-        let _ = self.filter.insert(self.key(vpn, new_owner));
+        self.filter.insert(self.key(vpn, new_owner));
     }
 
     /// Registers an additional owner (read replication, §V-D).
     pub fn owner_added(&mut self, vpn: u64, gpu: GpuId) {
-        let _ = self.filter.insert(self.key(vpn, gpu));
+        self.filter.insert(self.key(vpn, gpu));
     }
 
     /// Removes one owner (replica invalidation or page unmap).
@@ -116,19 +116,14 @@ impl Ft {
         self.filter.is_empty()
     }
 
-    /// Fingerprint cells in the table (excluding the stash). Once
-    /// [`len`](Self::len) exceeds it, every further insert runs the full
-    /// kick chain.
-    pub fn capacity(&self) -> usize {
-        self.filter.capacity()
-    }
-
     /// SRAM bits of the table (for the §IV-E area comparison).
     pub fn storage_bits(&self) -> u64 {
         self.filter.storage_bits()
     }
 
-    /// Insertions that overflowed into the stash.
+    /// Stored fingerprints beyond the table's cells: `len − capacity`, the
+    /// number the paper-sized table could not hold. The model keeps them
+    /// all, so lookups never miss a real owner.
     pub fn overflow_count(&self) -> u64 {
         self.filter.overflow_count()
     }

@@ -58,9 +58,7 @@ impl Prt {
     /// Records that a page migrated into local memory (or a local PTE was
     /// created). Called off the execution critical path.
     pub fn page_arrived(&mut self, vpn: u64) {
-        // Overflow falls back to the filter's stash; membership stays exact
-        // on the no-false-negative side either way.
-        let _ = self.filter.insert(self.key(vpn));
+        self.filter.insert(self.key(vpn));
     }
 
     /// Records that a page migrated away (local PTE destroyed).
@@ -104,8 +102,10 @@ impl Prt {
         self.filter.storage_bits()
     }
 
-    /// Insertions that overflowed the hardware table (handled by a stash in
-    /// this model; a real design would resize or spill).
+    /// Stored fingerprints beyond the table's cells: `len − capacity`, the
+    /// number the paper-sized table could not hold. The model keeps them
+    /// all, so membership has no false negatives; a real design would
+    /// resize or spill.
     pub fn overflow_count(&self) -> u64 {
         self.filter.overflow_count()
     }

@@ -1,5 +1,5 @@
 //! Collision and overflow edges of the Trans-FW tables: FT deletions under
-//! fingerprint collisions (§IV-C's stale-owner source) and PRT stash
+//! fingerprint collisions (§IV-C's stale-owner source) and PRT
 //! overflow (the no-false-negative side of the short-circuit filter).
 
 use ptw::GpuId;
@@ -74,7 +74,7 @@ fn ft_stale_multi_owner_reads_as_candidate_set() {
 #[test]
 fn prt_stash_overflow_has_no_false_negatives() {
     // Default PRT: 500 fingerprint slots. 700 distinct groups overflow the
-    // table into the stash; membership must stay exact on the negative side
+    // table; membership must stay exact on the negative side
     // (a false negative would wrongly short-circuit a *local* page to the
     // host, breaking correctness, not just performance).
     let cfg = TransFwConfig::default();
@@ -90,11 +90,11 @@ fn prt_stash_overflow_has_no_false_negatives() {
     for &vpn in &groups {
         assert!(prt.may_be_local(vpn), "resident group {vpn} denied");
     }
-    // Draining restores an exactly-empty table: stash entries delete too.
+    // Draining restores an exactly-empty table: overflowed entries delete too.
     for &vpn in &groups {
         prt.page_departed(vpn);
     }
-    assert!(prt.is_empty(), "stash entries must be removable");
+    assert!(prt.is_empty(), "overflowed entries must be removable");
     assert!(!prt.may_be_local(0));
 }
 

@@ -1,6 +1,6 @@
 //! Edge-case semantics the Trans-FW tables lean on: deletion with colliding
-//! fingerprints (the §IV-C stale-entry source) and stash overflow (the
-//! no-false-negative guarantee under pressure).
+//! fingerprints (the §IV-C stale-entry source) and overflow past the
+//! table's cells (the no-false-negative guarantee under pressure).
 
 use cuckoo::CuckooFilter;
 
@@ -17,12 +17,12 @@ fn deleting_one_of_two_colliding_keys_never_false_negatives() {
     // (the hash functions are fixed-seed).
     let mut f = CuckooFilter::new(16, 2, 6);
     let base = 42u64;
-    f.insert(base).unwrap();
+    f.insert(base);
     let collider = find_collider(&f, base, 0, 100_000)
         .expect("6-bit fingerprints over 100k probes must collide");
 
     // Store both keys: two copies of the same fingerprint (multiset).
-    f.insert(collider).unwrap();
+    f.insert(collider);
     assert_eq!(f.len(), 2);
 
     // Removing one key may take either copy — the paper's §IV-C ambiguity.
@@ -49,10 +49,10 @@ fn colliding_deletes_are_count_stable() {
     // repeated migrate-away events cannot underflow the multiset.
     let mut f = CuckooFilter::new(16, 2, 6);
     let base = 7u64;
-    f.insert(base).unwrap();
+    f.insert(base);
     let collider = find_collider(&f, base, 0, 100_000).expect("collision");
-    f.insert(collider).unwrap();
-    f.insert(base).unwrap(); // three copies total
+    f.insert(collider);
+    f.insert(base); // three copies total
     assert_eq!(f.len(), 3);
     assert!(f.remove(base));
     assert!(f.remove(collider));
@@ -65,14 +65,14 @@ fn colliding_deletes_are_count_stable() {
 
 #[test]
 fn stash_overflow_preserves_membership_and_supports_deletion() {
-    // 4 buckets x 2 slots = 8 cells; 24 keys guarantee stash spill.
+    // 4 buckets x 2 slots = 8 cells; 24 keys guarantee overflow.
     let mut f = CuckooFilter::new(4, 2, 8);
     let keys: Vec<u64> = (0..24).map(|i| i * 131 + 17).collect();
     for &k in &keys {
-        let _ = f.insert(k);
+        f.insert(k);
     }
-    assert!(f.overflow_count() > 0, "must spill into the stash");
-    assert!(f.stash_len() > 0);
+    assert!(f.overflow_count() > 0, "must overflow the table");
+    assert_eq!(f.overflow_count(), (f.len() - f.capacity()) as u64);
 
     // No false negatives while full...
     for &k in &keys {
@@ -80,7 +80,7 @@ fn stash_overflow_preserves_membership_and_supports_deletion() {
     }
 
     // ...and none while draining: after each delete, every remaining key is
-    // still visible, whether its fingerprint sits in the table or the stash.
+    // still visible, however far the table has overflowed.
     for (i, &k) in keys.iter().enumerate() {
         assert!(f.remove(k), "key {k} not removable");
         for &later in &keys[i + 1..] {
@@ -88,7 +88,7 @@ fn stash_overflow_preserves_membership_and_supports_deletion() {
         }
     }
     assert_eq!(f.len(), 0);
-    assert_eq!(f.stash_len(), 0, "stash must drain with the table");
+    assert_eq!(f.overflow_count(), 0, "overflow must drain with the table");
 }
 
 #[test]
@@ -99,7 +99,7 @@ fn reinsertion_after_overflow_churn_stays_exact() {
     for round in 0..3u64 {
         let keys: Vec<u64> = (0..20).map(|i| i * 977 + round * 7 + 1).collect();
         for &k in &keys {
-            let _ = f.insert(k);
+            f.insert(k);
         }
         for &k in &keys {
             assert!(f.contains(k), "round {round}: key {k} missing");

@@ -10,12 +10,12 @@ fn sustained_churn_at_high_occupancy() {
     let capacity = f.capacity();
     let live: Vec<u64> = (0..(capacity as u64 * 9 / 10)).collect();
     for &k in &live {
-        let _ = f.insert(k);
+        f.insert(k);
     }
     for round in 0..50u64 {
         let churn_base = 1_000_000 + round * 1000;
         for i in 0..50 {
-            let _ = f.insert(churn_base + i);
+            f.insert(churn_base + i);
         }
         for i in 0..50 {
             assert!(f.contains(churn_base + i), "round {round} lost {i}");
@@ -34,23 +34,13 @@ fn clustered_keys_do_not_collapse() {
     // as one fingerprint.
     let mut f = CuckooFilter::new(500, 4, 13);
     for k in 0..1500u64 {
-        let _ = f.insert(k);
+        f.insert(k);
     }
     assert_eq!(f.len(), 1500);
     f.remove(100);
     // Only one key's membership can be affected by the removal.
     let missing = (0..1500u64).filter(|&k| !f.contains(k)).count();
     assert!(missing <= 1, "removal clobbered {missing} keys");
-}
-
-#[test]
-fn occupancy_tracks_table_content() {
-    let mut f = CuckooFilter::new(100, 4, 12);
-    assert_eq!(f.occupancy(), 0.0);
-    for k in 0..200u64 {
-        let _ = f.insert(k);
-    }
-    assert!((f.occupancy() - 0.5).abs() < 0.05, "{}", f.occupancy());
 }
 
 #[test]
@@ -69,7 +59,7 @@ fn fp_width_controls_false_positives() {
     let rate = |bits: u32| {
         let mut f = CuckooFilter::new(500, 4, bits);
         for k in 0..1000u64 {
-            let _ = f.insert(k);
+            f.insert(k);
         }
         (0..100_000u64)
             .filter(|&p| f.contains(1_000_000 + p))

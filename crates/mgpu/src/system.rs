@@ -377,14 +377,8 @@ impl System {
         &self.cfg
     }
 
-    /// Runs `workload` to completion and returns the collected metrics.
-    ///
-    /// The run is single-threaded except for warm placement: when the warm
-    /// pages overflow the FT's cells, the FT is filled on one scoped worker
-    /// thread while this thread fills the page tables, the directory and
-    /// the PRTs. The worker owns only the FT, whose kick RNG is its own
-    /// stream, and every fault-injector draw stays on this thread, so the
-    /// metrics are bit-identical to an inline fill.
+    /// Runs `workload` to completion, on the calling thread, and returns
+    /// the collected metrics.
     ///
     /// # Errors
     ///
@@ -426,58 +420,24 @@ impl System {
             .translation_vpn(workload.footprint_pages().saturating_sub(1))
             + 1;
         let shift = self.cfg.page_size_bits - 12;
-        let owners: Vec<Option<GpuId>> = (0..t_pages)
-            .map(|vpn| workload.initial_owner(vpn << shift, self.cfg.gpus))
-            .collect();
-        if let Some(g) = owners.iter().flatten().find(|&&g| g >= self.cfg.gpus) {
-            return Err(SimError::Config(format!(
-                "initial_owner returned GPU {g} but only {} exist",
-                self.cfg.gpus
-            )));
-        }
-        // The FT's warm fill touches nothing else and draws only from the
-        // FT's own kick stream, so once it overflows the table (every
-        // further insert then runs the full kick chain) it runs on a
-        // scoped worker while this thread fills the page tables, the
-        // directory and the PRTs, whose fault-injector draws stay here in
-        // VPN order. Either way the FT ends bit-identical.
-        let mut ft = self.host.ft.take();
-        let fill_ft = |ft: &mut Ft| {
-            for (vpn, owner) in (0..).zip(&owners) {
-                if let Some(g) = *owner {
+        for vpn in 0..t_pages {
+            let owner = workload.initial_owner(vpn << shift, self.cfg.gpus);
+            if let Some(g) = owner.filter(|&g| g >= self.cfg.gpus) {
+                return Err(SimError::Config(format!(
+                    "initial_owner returned GPU {g} but only {} exist",
+                    self.cfg.gpus
+                )));
+            }
+            let loc = owner.map_or(Location::Cpu, Location::Gpu);
+            self.host.pt.insert(vpn, Pte::new(vpn, loc));
+            if let Some(g) = owner {
+                self.dir.place(vpn, loc);
+                self.map_on_gpu(g, vpn, loc);
+                if let Some(ft) = self.host.ft.as_mut() {
                     ft.page_migrated(vpn, None, g);
                 }
             }
-        };
-        let warm_pages = owners.iter().flatten().count();
-        let filled_on_worker = std::thread::scope(|s| {
-            let worker = ft
-                .as_mut()
-                .filter(|ft| ft.len() + warm_pages > ft.capacity())
-                .and_then(|ft| {
-                    std::thread::Builder::new()
-                        .name("ft-warm-fill".into())
-                        .spawn_scoped(s, move || fill_ft(ft))
-                        .ok()
-                });
-            for (vpn, &owner) in (0..).zip(&owners) {
-                let loc = owner.map_or(Location::Cpu, Location::Gpu);
-                self.host.pt.insert(vpn, Pte::new(vpn, loc));
-                if let Some(g) = owner {
-                    self.dir.place(vpn, loc);
-                    self.map_on_gpu(g, vpn, loc);
-                }
-            }
-            worker
-                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .is_some()
-        });
-        if !filled_on_worker {
-            if let Some(ft) = ft.as_mut() {
-                fill_ft(ft);
-            }
         }
-        self.host.ft = ft;
         if self.cfg.ideal.no_local_faults {
             for (g, gpu) in self.gpus.iter_mut().enumerate() {
                 for vpn in 0..t_pages {

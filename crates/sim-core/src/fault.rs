@@ -108,7 +108,7 @@ pub struct FaultPlan {
     pub table_update_drop_prob: f64,
     /// Garbage fingerprints pre-inserted into each PRT and the FT before
     /// the run: models stale entries accumulated before this run's window
-    /// and, when large, forces the Cuckoo-filter overflow stash into play.
+    /// and, when large, pushes the tables past their cells.
     pub table_pollution: usize,
     /// Host-MMU overload bursts: period of the burst cycle (0 disables).
     pub host_burst_period: Cycle,

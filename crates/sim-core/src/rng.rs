@@ -12,8 +12,6 @@
 pub enum Stream {
     /// The system's root stream: the run seed itself.
     Root = 0,
-    /// Cuckoo-filter kick victims (fixed seed, independent of the run).
-    CuckooKick = 0xC0C0_0F11,
     /// ASAP prediction coin flips (fixed seed, independent of the run).
     Asap = 0xA5A9_0001,
     /// The fault injector's draws, seeded by the fault plan.
@@ -262,11 +260,10 @@ mod tests {
         for seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
             for cta in [0u64, 1, 5, 63] {
                 // (stream, run seed, lane, the seed the site used to pass).
-                // The cuckoo and ASAP streams never saw the run seed.
+                // The ASAP stream never saw the run seed.
                 let per_cta = |salt: u64| seed ^ salt.wrapping_mul(cta + 1);
                 let sites = [
                     (Stream::Root, seed, 0, seed),
-                    (Stream::CuckooKick, 0, 0, 0xC0C0_0F11),
                     (Stream::Asap, 0, 0, 0xA5A9_0001),
                     (Stream::Fault, seed, 0, seed ^ 0x000F_A017_1EC7),
                     (Stream::Overload, seed, 0, seed ^ 0x0E7B_10AD_5EED_CAFE),

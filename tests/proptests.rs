@@ -115,7 +115,7 @@ fn cuckoo_no_false_negatives() {
         for _ in 0..rng.gen_index(300) {
             let key = rng.gen_range(500);
             if rng.chance(0.5) {
-                let _ = filter.insert(key);
+                filter.insert(key);
                 *model.entry(key).or_insert(0) += 1;
             } else if model.get(&key).copied().unwrap_or(0) > 0 {
                 assert!(filter.remove(key), "present key must be removable");

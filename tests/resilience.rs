@@ -8,7 +8,6 @@ use std::sync::{Arc, Mutex};
 use transfw_sim::experiments::run_json;
 use transfw_sim::mgpu::CheckpointLog;
 use transfw_sim::prelude::*;
-use transfw_sim::transfw::Ft;
 
 fn faulty(cfg: SystemConfig, plan: FaultPlan) -> SystemConfig {
     SystemConfig {
@@ -189,13 +188,11 @@ fn fnv1a64(text: &str) -> u64 {
 
 #[test]
 fn overflowing_warm_fill_is_pinned_under_pollution_and_lossy_updates() {
-    // Once warm placement overflows the FT, `System::run` fills the FT on
-    // a scoped worker while the calling thread fills the page tables, the
-    // directory and the PRTs (drawing every lossy-update gate). The first
-    // epoch digest covers every table and RNG position, and the run JSON
-    // every counter. Both pins are the values of a single-threaded fill:
-    // pollution keys first, then one FT insert per warm page in VPN order,
-    // interleaved with the PRT fills.
+    // Warm placement overflows the FT's cells: the pollution keys go in
+    // first, then, in VPN order, each warm page's page-table, directory,
+    // PRT (through every lossy-update gate) and FT updates. The first epoch
+    // digest covers every table's contents and every RNG position, and the
+    // run JSON every counter.
     let app = workloads::app("MT").unwrap().scaled(0.1);
     let plan = FaultPlan {
         table_pollution: 200,
@@ -204,7 +201,8 @@ fn overflowing_warm_fill_is_pinned_under_pollution_and_lossy_updates() {
     };
     let mut cfg = faulty(SystemConfig::with_transfw(), plan);
     cfg.checkpoint_interval = Some(1_000);
-    let ft_cells = Ft::new(&cfg.transfw.as_ref().unwrap().config, cfg.gpus).capacity();
+    let tf = &cfg.transfw.as_ref().unwrap().config;
+    let ft_cells = tf.ft_fingerprints.div_ceil(tf.ft_slots) * tf.ft_slots;
     let warm = (0..app.footprint_pages())
         .filter(|&vpn| app.initial_owner(vpn, cfg.gpus).is_some())
         .count();
@@ -220,7 +218,7 @@ fn overflowing_warm_fill_is_pinned_under_pollution_and_lossy_updates() {
         .unwrap();
     let first = sink.lock().unwrap().epochs()[0].digest;
     let json = fnv1a64(&run_json(&m, cfg.seed));
-    assert_eq!(first, 0xe770_e036_4a1f_12eb, "first epoch digest moved");
+    assert_eq!(first, 0x131b_9c63_b061_b310, "first epoch digest moved");
     assert_eq!(
         json,
         0xefc5_e3e3_4596_3dae,
