@@ -1,6 +1,8 @@
 //! GMMU-side event handlers: PW-queue, walkers, local walks and the remote
 //! walks borrowed by Trans-FW forwarding.
 
+use std::ops::RangeInclusive;
+
 use ptw::Location;
 use sim_core::{Cycle, SimError};
 
@@ -47,19 +49,9 @@ impl System {
             self.gpus[gpu as usize].inflight.push(job);
             let stall = self.injector.walker_stall();
             let vpn = self.reqs[job.req].vpn;
-            let levels = self.cfg.page_table_levels;
             let g = &mut self.gpus[gpu as usize];
-            let resume = g.pwc.lookup(vpn);
-            let walk = g.pt.walk(vpn, resume);
-            let mut accesses = walk.accesses;
-            if let Some(asap) = g.asap.as_mut() {
-                accesses = asap.effective_accesses(accesses);
-            }
-            let walk_cycles = Cycle::from(accesses) * self.cfg.walk_level_latency + stall;
-            // PW-cache refill range: entries for the levels this walk read.
-            let start = resume.map_or(levels, |k| k - 1);
-            let insert_lo = walk.reached_level.max(2);
-            let insert_hi = start.min(levels);
+            let walk = ptw::cached_walk(&mut g.pwc, &g.pt, g.asap.as_mut(), vpn);
+            let walk_cycles = Cycle::from(walk.serialized) * self.cfg.walk_level_latency + stall;
             self.metrics.gmmu_walk_accesses = self
                 .metrics
                 .gmmu_walk_accesses
@@ -70,10 +62,8 @@ impl System {
                     gpu,
                     job,
                     walk_cycles,
-                    accesses: walk.accesses,
                     pte: walk.pte,
-                    insert_lo,
-                    insert_hi,
+                    refill: walk.refill,
                 },
             );
         }
@@ -81,16 +71,13 @@ impl System {
 
     /// A GMMU walk finished: refill the PW-cache, then either deliver the
     /// translation, raise a far fault, or answer a borrowed (remote) walk.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gmmu_walk_done(
         &mut self,
         gpu: u16,
         job: GmmuJob,
         walk_cycles: Cycle,
-        _accesses: u32,
         pte: Option<ptw::Pte>,
-        insert_lo: u32,
-        insert_hi: u32,
+        refill: RangeInclusive<u32>,
     ) {
         let now = self.now;
         if job.gen != self.gpus[gpu as usize].gen {
@@ -110,10 +97,7 @@ impl System {
                 g.inflight.remove(pos);
             }
             g.walkers.release();
-            let vpn = self.reqs[job.req].vpn;
-            for k in insert_lo..=insert_hi.min(self.cfg.page_table_levels) {
-                g.pwc.insert(vpn, k);
-            }
+            g.pwc.refill(self.reqs[job.req].vpn, refill);
         }
         self.events.push(now, Event::GmmuDispatch { gpu });
 

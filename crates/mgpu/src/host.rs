@@ -3,6 +3,8 @@
 
 #![warn(clippy::indexing_slicing)]
 
+use std::ops::RangeInclusive;
+
 use ptw::Location;
 use sim_core::{Cycle, SimError};
 use uvm::TxnKind;
@@ -134,29 +136,22 @@ impl System {
             // Injected slowdowns: DRAM-contention walker stalls and
             // host-MMU overload bursts.
             let stall = self.injector.walker_stall() + self.injector.host_burst_penalty(now);
-            let levels = self.cfg.page_table_levels;
-            let resume = self.host.pwc.lookup(vpn);
-            let walk = self.host.pt.walk(vpn, resume);
+            let host = &mut self.host;
+            let walk = ptw::cached_walk(&mut host.pwc, &host.pt, host.asap.as_mut(), vpn);
             debug_assert!(walk.pte.is_some(), "centralised table maps everything");
-            let mut accesses = walk.accesses;
-            if let Some(asap) = self.host.asap.as_mut() {
-                accesses = asap.effective_accesses(accesses);
-            }
-            let walk_cycles = Cycle::from(accesses) * self.cfg.walk_level_latency
+            let walk_cycles = Cycle::from(walk.serialized) * self.cfg.walk_level_latency
                 + self.cfg.host_fault_overhead
                 + stall;
             self.metrics.host_walk_accesses = self
                 .metrics
                 .host_walk_accesses
                 .saturating_add(u64::from(walk.accesses));
-            let start = resume.map_or(levels, |k| k - 1);
             self.events.push(
                 now + walk_cycles,
                 Event::HostWalkDone {
                     req,
                     walk_cycles,
-                    insert_lo: walk.reached_level.max(2),
-                    insert_hi: start.min(levels),
+                    refill: walk.refill,
                 },
             );
         }
@@ -168,8 +163,7 @@ impl System {
         &mut self,
         req: ReqId,
         walk_cycles: Cycle,
-        insert_lo: u32,
-        insert_hi: u32,
+        refill: RangeInclusive<u32>,
     ) {
         let now = self.now;
         self.host.walkers.release();
@@ -180,9 +174,7 @@ impl System {
         r.lat.host_walk += walk_cycles;
         let vpn = r.vpn;
         let redundant = r.remote_supplied || r.completed;
-        for k in insert_lo..=insert_hi.min(self.cfg.page_table_levels) {
-            self.host.pwc.insert(vpn, k);
-        }
+        self.host.pwc.refill(vpn, refill);
         let home = self.dir.home(vpn);
         self.host.tlb.fill(
             vpn,

@@ -1,7 +1,8 @@
 //! Run metrics: everything the paper's figures are computed from.
 
+use std::collections::BTreeMap;
+
 use ptw::PwCacheStats;
-use sim_core::det::DetMap;
 use uvm::DirectoryStats;
 
 /// The L2-TLB-miss latency components of Fig. 3/12, accumulated over all
@@ -95,7 +96,7 @@ pub struct SharingProfile {
     /// Touches of the indexed VPNs, in first-touch order.
     pages: Vec<PageTouch>,
     /// Touches of VPNs at or above [`DENSE_VPNS`].
-    sparse: DetMap<u64, PageTouch>,
+    sparse: BTreeMap<u64, PageTouch>,
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -259,8 +260,8 @@ pub struct PlacementStats {
     pub prefetch_skipped_pending: u64,
     /// Write-collapses of replicated pages back to a single owner.
     pub collapses: u64,
-    /// Critical-path latency of data-moving transactions (migration,
-    /// replication, collapse), over every such transaction.
+    /// Fabric latency of every data-moving transaction: demand, prefetch
+    /// and background migrations, replications and collapses.
     pub migration_latency: sim_core::stats::LatencyAccumulator,
 }
 

@@ -23,9 +23,10 @@
 //! every method is an inert no-op that changes no state, so existing runs
 //! stay bit-identical. The control plane draws no randomness at all.
 
+use std::collections::BTreeMap;
+
 use ptw::GpuId;
 use sim_core::checkpoint::StateDigest;
-use sim_core::det::DetMap;
 use sim_core::{ConfigError, Cycle, Hysteresis, WindowedCount};
 use uvm::{EvictPolicy, TrafficClass};
 
@@ -132,7 +133,7 @@ pub struct OversubControl {
     gates: Vec<Hysteresis>,
     refaults: Vec<WindowedCount>,
     /// Per GPU: recently evicted VPN → eviction cycle.
-    recently_evicted: Vec<DetMap<u64, Cycle>>,
+    recently_evicted: Vec<BTreeMap<u64, Cycle>>,
     /// Counters reported through `RunMetrics::oversub`.
     pub stats: OversubStats,
 }
@@ -145,7 +146,7 @@ impl OversubControl {
             cfg: cfg.clone(),
             gates: vec![Hysteresis::new(cfg.thrash_high, cfg.thrash_low.min(cfg.thrash_high)); n],
             refaults: vec![WindowedCount::new(cfg.refault_window.max(1)); n],
-            recently_evicted: vec![DetMap::new(); n],
+            recently_evicted: vec![BTreeMap::new(); n],
             stats: OversubStats::default(),
         }
     }

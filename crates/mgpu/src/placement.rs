@@ -16,8 +16,8 @@
 #![warn(clippy::indexing_slicing)]
 
 use ptw::{GpuId, Location};
-use sim_core::{Cycle, MigrationEvent, MigrationKind};
-use uvm::{OwnershipTransaction, TxnKind};
+use sim_core::Cycle;
+use uvm::OwnershipTransaction;
 
 use crate::protocol;
 use crate::system::System;
@@ -58,28 +58,20 @@ impl System {
         }
     }
 
-    /// Records a completed movement in the migration log.
+    /// Records a completed data movement's fabric latency; remote maps
+    /// and already-resident pages move nothing.
     pub(crate) fn record_migration(
         &mut self,
         txn: &OwnershipTransaction,
         issued: Cycle,
         completed: Cycle,
     ) {
-        let kind = match txn.kind {
-            TxnKind::Migrate => MigrationKind::FaultMigrate,
-            TxnKind::Collapse => MigrationKind::Collapse,
-            TxnKind::Replicate => MigrationKind::Replicate,
-            TxnKind::Prefetch => MigrationKind::Prefetch,
-            TxnKind::RemoteMap | TxnKind::AlreadyResident => return,
-        };
-        self.migration_log.record(MigrationEvent {
-            vpn: txn.vpn,
-            src: txn.source.gpu(),
-            dst: txn.dest,
-            issued,
-            completed,
-            kind,
-        });
+        if txn.moves_data() {
+            self.metrics
+                .placement
+                .migration_latency
+                .record(completed.saturating_sub(issued));
+        }
     }
 
     /// After a demand migration whose data came `from` lands on `gpu`,

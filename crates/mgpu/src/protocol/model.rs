@@ -30,8 +30,10 @@
 //!   that a concurrent migration already invalidated (the stale PTE is
 //!   itself registered or re-faulted on next migration).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ptw::{GpuId, Location};
-use sim_core::{DetMap, DetSet, StateDigest};
+use sim_core::StateDigest;
 use uvm::{OwnershipTransaction, PageDirectory, PolicyKind, TxnKind};
 
 use super::{self as protocol, ProtocolTables};
@@ -344,19 +346,19 @@ pub struct ProtocolState {
     /// The real placement/ownership directory (authoritative state).
     pub dir: PageDirectory,
     /// Per-GPU local page table (exact map).
-    pt: Vec<DetMap<u64, Location>>,
+    pt: Vec<BTreeMap<u64, Location>>,
     /// Per-GPU PRT as an exact may-be-local set. The real counting cuckoo
     /// filter is a lossy multiset *over-approximation* of this set (its
     /// false positives only cost a wasted local walk); the model verifies
     /// the maintenance discipline on the exact set, which the filter then
     /// over-approximates soundly.
-    prt: Vec<DetSet<u64>>,
+    prt: Vec<BTreeSet<u64>>,
     /// Host FT as exact per-GPU owner-key counts.
-    ft: DetMap<u64, Vec<u32>>,
+    ft: BTreeMap<u64, Vec<u32>>,
     /// Host centralised page table.
-    host_pt: DetMap<u64, Location>,
+    host_pt: BTreeMap<u64, Location>,
     /// Host TLB (presence only — the entry contents are the home).
-    host_tlb: DetSet<u64>,
+    host_tlb: BTreeSet<u64>,
     /// Per-GPU offline flag.
     offline: Vec<bool>,
     /// The one modelled eviction already happened.
@@ -376,7 +378,7 @@ pub struct ProtocolState {
     mutation: Option<Mutation>,
     /// FT snapshot at t=0 (what [`Mutation::StaleForwardAfterCommit`]
     /// consults instead of the live table).
-    initial_ft: DetMap<u64, Vec<u32>>,
+    initial_ft: BTreeMap<u64, Vec<u32>>,
 }
 
 /// The model's table hooks: exact structures, no lossy gate, violations on
@@ -488,7 +490,7 @@ impl ProtocolState {
     /// `(gpu, vpn)` requests, warm list length mismatch).
     pub fn new(cfg: &ModelConfig) -> Self {
         assert_eq!(cfg.warm.len(), cfg.vpns as usize, "warm list length");
-        let mut seen = DetSet::new();
+        let mut seen = BTreeSet::new();
         for &(g, vpn, _) in &cfg.reqs {
             assert!(g < cfg.gpus && vpn < cfg.vpns, "request out of range");
             assert!(
@@ -500,11 +502,11 @@ impl ProtocolState {
             gpus: cfg.gpus,
             vpns: cfg.vpns,
             dir: PageDirectory::with_policy(cfg.gpus, cfg.policy),
-            pt: vec![DetMap::new(); cfg.gpus as usize],
-            prt: vec![DetSet::new(); cfg.gpus as usize],
-            ft: DetMap::new(),
-            host_pt: DetMap::new(),
-            host_tlb: DetSet::new(),
+            pt: vec![BTreeMap::new(); cfg.gpus as usize],
+            prt: vec![BTreeSet::new(); cfg.gpus as usize],
+            ft: BTreeMap::new(),
+            host_pt: BTreeMap::new(),
+            host_tlb: BTreeSet::new(),
             offline: vec![false; cfg.gpus as usize],
             evicted_once: false,
             walkers: vec![0; cfg.gpus as usize],
@@ -513,7 +515,7 @@ impl ProtocolState {
             capacity: cfg.capacity,
             violations: Vec::new(),
             mutation: None,
-            initial_ft: DetMap::new(),
+            initial_ft: BTreeMap::new(),
         };
         for v in 0..cfg.vpns {
             let owner = cfg.warm[v as usize];
@@ -570,7 +572,7 @@ impl ProtocolState {
         &self.violations
     }
 
-    fn ft_owners(table: &DetMap<u64, Vec<u32>>, vpn: u64, skip: GpuId) -> Vec<GpuId> {
+    fn ft_owners(table: &BTreeMap<u64, Vec<u32>>, vpn: u64, skip: GpuId) -> Vec<GpuId> {
         table.get(&vpn).map_or_else(Vec::new, |counts| {
             counts
                 .iter()
@@ -988,7 +990,7 @@ impl ProtocolState {
         // Freshness is enforced where hit and retire are atomic: local-walk
         // retires.
         self.model_retire(i, None);
-        if self.pt[g as usize].get(&vpn).is_none() {
+        if !self.pt[g as usize].contains_key(&vpn) {
             protocol::map_page(self, g, vpn, loc);
             if loc != Location::Gpu(g) {
                 self.dir.add_remote_map(vpn, g);

@@ -431,7 +431,6 @@ impl System {
             host_failover_until: _,
             bookkeeping_pending: _,
             // Outputs of the run, read after it ends.
-            migration_log: _,
             checkpoint_sink: _,
             sanitizer_violations: _,
             overload,

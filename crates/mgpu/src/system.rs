@@ -2,14 +2,13 @@
 
 #![warn(clippy::indexing_slicing)]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::RangeInclusive;
 
 use std::sync::{Arc, Mutex};
 
 use interconnect::Fabric;
-use ptw::{
-    Asap, GpuId, InfinitePwc, Location, PageTable, Pte, PwCache, PwQueue, Stc, Utc, WalkerPool,
-};
+use ptw::{Asap, GpuId, Location, PageTable, Pte, PwCache, PwQueue, WalkerPool};
 use sim_core::{
     CheckpointLog, Cycle, EventQueue, FaultInjector, MessageFate, SimError, SimRng, Stream,
 };
@@ -60,10 +59,8 @@ pub(crate) enum Event {
         gpu: u16,
         job: GmmuJob,
         walk_cycles: Cycle,
-        accesses: u32,
         pte: Option<Pte>,
-        insert_lo: u32,
-        insert_hi: u32,
+        refill: RangeInclusive<u32>,
     },
     HostArrive {
         req: ReqId,
@@ -72,8 +69,7 @@ pub(crate) enum Event {
     HostWalkDone {
         req: ReqId,
         walk_cycles: Cycle,
-        insert_lo: u32,
-        insert_hi: u32,
+        refill: RangeInclusive<u32>,
     },
     RemoteWalkArrive {
         gpu: u16,
@@ -155,7 +151,7 @@ pub(crate) struct Gpu {
     pub mshr: Mshr<WfRef>,
     pub queue: PwQueue<GmmuJob>,
     pub walkers: WalkerPool,
-    pub pwc: Box<dyn PwCache>,
+    pub pwc: PwCache,
     pub pt: PageTable,
     pub prt: Option<Prt>,
     pub asap: Option<Asap>,
@@ -172,17 +168,17 @@ pub(crate) struct HostMmu {
     pub tlb: Tlb<TransEntry>,
     pub queue: PwQueue<ReqId>,
     pub walkers: WalkerPool,
-    pub pwc: Box<dyn PwCache>,
+    pub pwc: PwCache,
     pub pt: PageTable,
     pub asap: Option<Asap>,
     pub ft: Option<Ft>,
 }
 
-fn make_pwc(kind: PwcKind, entries: usize, levels: u32) -> Box<dyn PwCache> {
+fn make_pwc(kind: PwcKind, entries: usize, levels: u32) -> PwCache {
     match kind {
-        PwcKind::Utc => Box::new(Utc::new(entries, levels)),
-        PwcKind::Stc => Box::new(Stc::paper_default(levels)),
-        PwcKind::Infinite => Box::new(InfinitePwc::new(levels)),
+        PwcKind::Utc => PwCache::new(entries, levels),
+        PwcKind::Stc => PwCache::split(levels),
+        PwcKind::Infinite => PwCache::infinite(levels),
     }
 }
 
@@ -225,8 +221,6 @@ pub struct System {
     /// bookkeeping as drained, so the two self-re-arming watchdogs cannot
     /// keep each other alive forever.
     pub(crate) bookkeeping_pending: usize,
-    /// Page movements (demand, background, prefetch) recorded by this run.
-    pub(crate) migration_log: sim_core::MigrationLog,
     /// Where epoch checkpoints go, if anywhere: outside the `System`, so
     /// the log survives a run that aborts mid-flight (the crash half of
     /// checkpoint/restore). `None` means no digest is ever computed.
@@ -250,11 +244,11 @@ pub struct System {
     /// resurrect a mapping the eviction just tore down. Pure bookkeeping
     /// (no RNG), maintained unconditionally so the recovery path honours
     /// it even with oversubscription off.
-    pub(crate) outstanding_vpns: sim_core::DetMap<u64, u32>,
+    pub(crate) outstanding_vpns: BTreeMap<u64, u32>,
     /// Recovery evictions deferred because the page was pinned: VPN → the
     /// offline GPU it still must be evicted from. Completed when the last
     /// outstanding request on the VPN retires; cancelled at rejoin.
-    pub(crate) pending_evict: sim_core::DetMap<u64, GpuId>,
+    pub(crate) pending_evict: BTreeMap<u64, GpuId>,
 }
 
 impl System {
@@ -346,14 +340,13 @@ impl System {
             offline_count: 0,
             host_failover_until: None,
             bookkeeping_pending: 0,
-            migration_log: sim_core::MigrationLog::new(),
             checkpoint_sink: None,
             sanitizer_violations: Vec::new(),
             overload: crate::overload::OverloadControl::new(&cfg.overload, cfg.gpus, cfg.seed),
             oversub: crate::oversub::OversubControl::new(&cfg.oversub, cfg.gpus),
             evictor: uvm::EvictionEngine::new(cfg.oversub.policy, cfg.gpus),
-            outstanding_vpns: sim_core::DetMap::new(),
-            pending_evict: sim_core::DetMap::new(),
+            outstanding_vpns: BTreeMap::new(),
+            pending_evict: BTreeMap::new(),
             now: 0,
             events: EventQueue::with_capacity(1 << 14),
             gpus,
@@ -577,12 +570,10 @@ impl System {
                 gpu,
                 job,
                 walk_cycles,
-                accesses,
                 pte,
-                insert_lo,
-                insert_hi,
+                refill,
             } => {
-                self.gmmu_walk_done(gpu, job, walk_cycles, accesses, pte, insert_lo, insert_hi);
+                self.gmmu_walk_done(gpu, job, walk_cycles, pte, refill);
                 Ok(())
             }
             Event::HostArrive { req } => {
@@ -593,10 +584,9 @@ impl System {
             Event::HostWalkDone {
                 req,
                 walk_cycles,
-                insert_lo,
-                insert_hi,
+                refill,
             } => {
-                self.host_walk_done(req, walk_cycles, insert_lo, insert_hi);
+                self.host_walk_done(req, walk_cycles, refill);
                 Ok(())
             }
             Event::RemoteWalkArrive { gpu, req } => {
@@ -1204,26 +1194,15 @@ impl System {
             }
             Location::Gpu(_) | Location::Cpu => now,
         };
-        self.migration_log.record(sim_core::MigrationEvent {
-            vpn,
-            src: txn.source.gpu(),
-            dst: to,
-            issued: now,
-            completed: done,
-            kind: sim_core::MigrationKind::Background,
-        });
+        self.record_migration(txn, now, done);
         self.enforce_capacity(to);
     }
 
     /// The pin set: every VPN with an outstanding translation request
     /// (PRT-pending fault or in-flight forwarded walk) is exempt from
     /// eviction.
-    pub(crate) fn pin_set(&self) -> sim_core::DetSet<u64> {
-        let mut s = sim_core::DetSet::new();
-        for &vpn in self.outstanding_vpns.keys() {
-            s.insert(vpn);
-        }
-        s
+    pub(crate) fn pin_set(&self) -> BTreeSet<u64> {
+        self.outstanding_vpns.keys().copied().collect()
     }
 
     /// Evicts pages from `g` until its tracked residency fits the
@@ -1413,7 +1392,6 @@ impl System {
         self.metrics.host_tlb_misses = self.host.tlb.misses();
         self.metrics.host_queue_peak = self.host.queue.peak();
         self.metrics.directory = self.dir.stats();
-        self.metrics.placement.migration_latency = self.migration_log.latency();
         self.metrics.driver_batches = self.driver.batch_count();
         for req in self.reqs.iter() {
             self.metrics.breakdown.gmmu_queue += req.lat.gmmu_queue;

@@ -7,10 +7,13 @@
 //!   tracking, so a walk knows exactly how many memory accesses it performs
 //!   (100 cycles each in the paper's configuration) and where a failed walk
 //!   for a non-resident page stops.
-//! * [`PwCache`] implementations — the **Unified Translation Cache**
-//!   ([`Utc`], the paper's default: one cache mixing entries of all levels,
-//!   longest-prefix match) and the **Split Translation Cache** ([`Stc`],
-//!   §V-C: separate per-level caches).
+//! * [`PwCache`] — the page-walk cache in its three organisations: the
+//!   **Unified Translation Cache** (the paper's default: one array mixing
+//!   entries of all levels, longest-prefix match), the **Split Translation
+//!   Cache** (§V-C: one array per level) and an infinite cache (Fig. 4).
+//! * [`cached_walk`] — the walk step both MMUs take: PW-cache lookup, table
+//!   walk from the deepest cached level, ASAP overlap, and the levels to
+//!   refill when the walk completes.
 //! * [`PwQueue`] / [`WalkerPool`] — the page-walk queue and the multi-
 //!   threaded walker model (8 GMMU / 16 host MMU threads in Table II).
 //! * [`Asap`] — the ASAP address-translation prefetcher used as a
@@ -38,7 +41,7 @@ pub mod queue;
 pub mod table;
 
 pub use asap::Asap;
-pub use pwc::{InfinitePwc, PwCache, PwCacheStats, Stc, Utc};
+pub use pwc::{cached_walk, CachedWalk, PwCache, PwCacheStats, Utc};
 pub use queue::{PwQueue, WalkerPool};
 pub use table::{GpuId, Location, PageTable, Pte, WalkResult};
 

@@ -1,6 +1,7 @@
 //! Radix page tables with walk-cost accounting.
 
-use sim_core::det::DetMap;
+use std::collections::BTreeMap;
+
 use sim_core::StateDigest;
 
 use crate::BITS_PER_LEVEL;
@@ -90,11 +91,11 @@ pub struct WalkResult {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     levels: u32,
-    leaves: DetMap<u64, Pte>,
+    leaves: BTreeMap<u64, Pte>,
     /// `nodes[l-1]` (for table level `l` in `1..=levels-1`) maps a table's
     /// identifying prefix (`vpn >> (9*l)`) to the number of leaves beneath
     /// it, so node removal is exact.
-    nodes: Vec<DetMap<u64, u32>>,
+    nodes: Vec<BTreeMap<u64, u32>>,
 }
 
 impl PageTable {
@@ -108,8 +109,8 @@ impl PageTable {
         assert!((2..=6).contains(&levels), "levels must be in 2..=6");
         Self {
             levels,
-            leaves: DetMap::new(),
-            nodes: (0..levels - 1).map(|_| DetMap::new()).collect(),
+            leaves: BTreeMap::new(),
+            nodes: (0..levels - 1).map(|_| BTreeMap::new()).collect(),
         }
     }
 
@@ -229,7 +230,7 @@ impl PageTable {
 
     /// A 64-bit digest of the table's full state — geometry, every leaf
     /// mapping (vpn, ppn, location) and the interior-node refcounts — for
-    /// epoch checkpoints. Iteration is key-ordered (`DetMap`), so the
+    /// epoch checkpoints. Iteration is key-ordered (`BTreeMap`), so the
     /// digest is stable across runs and shard layouts.
     pub fn state_digest(&self) -> u64 {
         let Self {

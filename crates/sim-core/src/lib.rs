@@ -7,8 +7,12 @@
 //! * [`EventQueue`] — a stable (FIFO-on-tie) calendar-queue event calendar.
 //! * [`SimRng`] — a small, fast, seedable PRNG (xoshiro256**) so every
 //!   simulation run is reproducible from a single `u64` seed.
-//! * [`stats`] — counters, mean accumulators and power-of-two histograms used
-//!   for the paper's latency-breakdown figures.
+//! * [`stats`] — mean accumulators and power-of-two histograms used for
+//!   the paper's latency-breakdown figures.
+//!
+//! Simulator state that is iterated uses `std::collections::BTreeMap` and
+//! `BTreeSet`, whose key order is the same on every run; `clippy.toml`
+//! bans `HashMap`/`HashSet`, whose iteration order is per-process random.
 //!
 //! # Examples
 //!
@@ -35,10 +39,8 @@
 
 pub mod checkpoint;
 pub mod counterexample;
-pub mod det;
 pub mod error;
 pub mod fault;
-pub mod migration;
 pub mod overload;
 pub mod queue;
 pub mod rng;
@@ -46,13 +48,16 @@ pub mod stats;
 
 pub use checkpoint::{CheckpointLog, EpochCheckpoint, StateDigest};
 pub use counterexample::Counterexample;
-pub use det::{DetMap, DetSet};
 pub use error::{ConfigError, SimError};
 pub use fault::{ComponentEvent, FaultInjector, FaultPlan, InjectStats, MessageFate};
-pub use migration::{MigrationEvent, MigrationKind, MigrationLog};
 pub use overload::{ExponentialBackoff, Hysteresis, TokenBucket, WindowedCount};
 pub use queue::EventQueue;
 pub use rng::{SimRng, Stream};
+
+/// `BTreeSet` under the name of the wrapper it replaced, kept because
+/// `perfbench/src/replay.rs` imports it. Simulator code names
+/// `std::collections::BTreeSet` directly.
+pub use std::collections::BTreeSet as DetSet;
 
 /// Simulation time in cycles.
 ///

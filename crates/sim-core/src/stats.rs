@@ -1,59 +1,11 @@
 //! Statistics primitives for simulation metrics.
 //!
-//! The paper's figures are built from three kinds of measurements: event
-//! counts (e.g. TLB hits), accumulated latencies attributed to named buckets
-//! (Fig. 3/12), and distributions (queue depths). [`Counter`],
-//! [`LatencyAccumulator`] and [`Histogram`] cover those respectively.
-
-use std::fmt;
+//! The paper's figures are built from event counts (plain `u64` fields,
+//! turned into rates by [`ratio`]), accumulated latencies attributed to
+//! named buckets (Fig. 3/12, [`LatencyAccumulator`]) and distributions
+//! (queue depths, [`Histogram`]).
 
 use crate::Cycle;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::stats::Counter;
-///
-/// let mut hits = Counter::default();
-/// hits.inc();
-/// hits.add(2);
-/// assert_eq!(hits.get(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Ratio of two counters, returning 0 for an empty denominator.
 ///
@@ -190,16 +142,6 @@ impl Histogram {
         ratio(self.total, self.count)
     }
 
-    /// Fraction of samples at or below `value`.
-    pub fn fraction_le(&self, value: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let b = Self::bucket_of(value);
-        let below: u64 = self.buckets.iter().take(b + 1).sum();
-        below as f64 / self.count as f64
-    }
-
     /// Bucket counts, from smallest values upward.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
@@ -244,38 +186,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Computes the geometric mean of an `f64` slice (0 when empty).
-///
-/// # Panics
-///
-/// Panics if any element is non-positive.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geomean requires positive inputs, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn ratio_handles_zero_denominator() {
@@ -328,25 +241,12 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert!((h.mean() - 25.75).abs() < 1e-9);
-        assert!((h.fraction_le(1) - 0.75).abs() < 1e-9);
-        assert_eq!(h.fraction_le(128), 1.0);
-    }
-
-    #[test]
-    fn geomean_of_equal_values() {
-        let g = geomean(&[2.0, 2.0, 2.0]);
-        assert!((g - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_mixed() {
-        let g = geomean(&[1.0, 4.0]);
-        assert!((g - 2.0).abs() < 1e-12);
+        assert_eq!(h.percentile_bound(0.75), 1);
+        assert_eq!(h.percentile_bound(1.0), 128);
     }
 
     #[test]
     fn mean_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
     }
 }

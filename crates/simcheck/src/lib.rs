@@ -24,10 +24,10 @@
 //! expanded alone). A violation is reported as a minimized linear
 //! [`Counterexample`] replayable via [`mgpu::protocol::model::replay`].
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use mgpu::protocol::model::{Action, ModelConfig, ProtocolState};
-use sim_core::{Counterexample, DetSet};
+use sim_core::Counterexample;
 
 /// Exploration budgets.
 #[derive(Debug, Clone, Copy)]
@@ -104,7 +104,7 @@ pub fn check(initial: &ProtocolState, cfg: &CheckConfig) -> CheckOutcome {
     // Parent-pointer node table: id 0 is the root; node id k > 0 records
     // (parent id, action) at nodes[k - 1].
     let mut nodes: Vec<(usize, Action)> = Vec::new();
-    let mut visited: DetSet<u64> = DetSet::new();
+    let mut visited: BTreeSet<u64> = BTreeSet::new();
     visited.insert(initial.digest());
     let mut frontier: VecDeque<(ProtocolState, usize, usize)> = VecDeque::new();
     frontier.push_back((initial.clone(), 0, 0));

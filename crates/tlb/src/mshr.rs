@@ -1,6 +1,6 @@
 //! Miss-status holding registers with request coalescing.
 
-use sim_core::det::DetMap;
+use std::collections::BTreeMap;
 
 /// Outcome of registering a miss with an [`Mshr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr<W> {
-    entries: DetMap<u64, Vec<W>>,
+    entries: BTreeMap<u64, Vec<W>>,
     capacity: usize,
     merged: u64,
     primaries: u64,
@@ -50,7 +50,7 @@ impl<W> Mshr<W> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {
-            entries: DetMap::new(),
+            entries: BTreeMap::new(),
             capacity,
             merged: 0,
             primaries: 0,

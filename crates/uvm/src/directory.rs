@@ -1,7 +1,8 @@
 //! The driver's centralised view of page placement.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ptw::{GpuId, Location};
-use sim_core::det::{DetMap, DetSet};
 use sim_core::SimError;
 
 use crate::policy::{OwnershipTransaction, PolicyDecision, PolicyKind, TxnKind};
@@ -32,6 +33,11 @@ impl PageState {
             access_counts: vec![0; gpu_count as usize],
             fault_counts: vec![0; gpu_count as usize],
         }
+    }
+
+    /// Whether `gpu` holds the page's home, a replica or a remote mapping.
+    fn involves(&self, gpu: GpuId) -> bool {
+        self.resident_on(gpu) || self.remote_maps & (1 << gpu) != 0
     }
 
     /// Whether `gpu` holds a resident copy (home or replica).
@@ -102,6 +108,55 @@ pub struct DirectoryStats {
     pub prefetches: u64,
 }
 
+/// Evicts `gpu`'s copy of page `vpn`, the per-page body of every directory
+/// eviction. A replica or remote mapping held by `gpu` is dropped and
+/// `gpu`'s access and fault counters for the page are zeroed. A home copy
+/// (whose data moves or ceases to exist) is re-owned: the lowest surviving
+/// replica is promoted, else the CPU backing copy (always coherent for read
+/// replicas) becomes the home again, and the remote mappings on survivors,
+/// which now dangle, are reported for shootdown.
+fn evict_copy(
+    page: &mut PageState,
+    vpn: u64,
+    gpu: GpuId,
+    gpu_count: u16,
+    stats: &mut DirectoryStats,
+    report: &mut EvictionReport,
+) {
+    let bit = 1u64 << gpu;
+    if page.replicas & bit != 0 {
+        page.replicas &= !bit;
+        report.dropped_replicas.push(vpn);
+    }
+    if page.remote_maps & bit != 0 {
+        page.remote_maps &= !bit;
+        report.dropped_remote_maps.push(vpn);
+    }
+    if let Some(c) = page.access_counts.get_mut(gpu as usize) {
+        *c = 0;
+    }
+    if let Some(c) = page.fault_counts.get_mut(gpu as usize) {
+        *c = 0;
+    }
+    if page.home == Location::Gpu(gpu) {
+        let new_home = (0..gpu_count)
+            .find(|&g| page.replicas & (1 << g) != 0)
+            .map_or(Location::Cpu, |g| {
+                page.replicas &= !(1 << g);
+                Location::Gpu(g)
+            });
+        page.home = new_home;
+        stats.migrations = stats.migrations.saturating_add(1);
+        for g in 0..gpu_count {
+            if g != gpu && page.remote_maps & (1 << g) != 0 {
+                report.invalidate.push((vpn, g));
+            }
+        }
+        page.remote_maps = 0;
+        report.migrated.push((vpn, new_home));
+    }
+}
+
 /// The centralised page table the UVM driver / host MMU consults: it always
 /// knows where every page's valid copies live (§II-A).
 ///
@@ -125,7 +180,7 @@ pub struct DirectoryStats {
 pub struct PageDirectory {
     gpu_count: u16,
     kind: PolicyKind,
-    pages: DetMap<u64, PageState>,
+    pages: BTreeMap<u64, PageState>,
     stats: DirectoryStats,
 }
 
@@ -140,7 +195,7 @@ impl PageDirectory {
         Self {
             gpu_count,
             kind,
-            pages: DetMap::new(),
+            pages: BTreeMap::new(),
             stats: DirectoryStats::default(),
         }
     }
@@ -472,7 +527,7 @@ impl PageDirectory {
     ///
     /// Panics if `gpu` is out of range.
     pub fn evict_gpu(&mut self, gpu: GpuId) -> EvictionReport {
-        self.evict_gpu_pinned(gpu, &DetSet::new())
+        self.evict_gpu_pinned(gpu, &BTreeSet::new())
     }
 
     /// [`evict_gpu`](Self::evict_gpu), but pages in `pins` whose placement
@@ -487,57 +542,17 @@ impl PageDirectory {
     /// # Panics
     ///
     /// Panics if `gpu` is out of range.
-    pub fn evict_gpu_pinned(&mut self, gpu: GpuId, pins: &DetSet<u64>) -> EvictionReport {
+    pub fn evict_gpu_pinned(&mut self, gpu: GpuId, pins: &BTreeSet<u64>) -> EvictionReport {
         assert!(gpu < self.gpu_count, "gpu {gpu} out of range");
         let mut report = EvictionReport::default();
-        let bit = 1u64 << gpu;
-        // DetMap iterates in ascending VPN order: the report lists pages in
+        // BTreeMap iterates in ascending VPN order: the report lists pages in
         // the same deterministic order on every run.
         for (&vpn, page) in self.pages.iter_mut() {
-            if pins.contains(&vpn)
-                && (page.home == Location::Gpu(gpu)
-                    || page.replicas & bit != 0
-                    || page.remote_maps & bit != 0)
-            {
+            if pins.contains(&vpn) && page.involves(gpu) {
                 report.deferred.push(vpn);
                 continue;
             }
-            if page.replicas & bit != 0 {
-                page.replicas &= !bit;
-                report.dropped_replicas.push(vpn);
-            }
-            if page.remote_maps & bit != 0 {
-                page.remote_maps &= !bit;
-                report.dropped_remote_maps.push(vpn);
-            }
-            if let Some(c) = page.access_counts.get_mut(gpu as usize) {
-                *c = 0;
-            }
-            if let Some(c) = page.fault_counts.get_mut(gpu as usize) {
-                *c = 0;
-            }
-            if page.home == Location::Gpu(gpu) {
-                // Promote the lowest surviving replica; with none left the
-                // CPU backing copy (always coherent for read replicas)
-                // becomes the home again.
-                let new_home = (0..self.gpu_count)
-                    .find(|&g| page.replicas & (1 << g) != 0)
-                    .map_or(Location::Cpu, |g| {
-                        page.replicas &= !(1 << g);
-                        Location::Gpu(g)
-                    });
-                page.home = new_home;
-                self.stats.migrations = self.stats.migrations.saturating_add(1);
-                // Data moved (or ceased to exist on the old owner): remote
-                // mappings on survivors now dangle and must be shot down.
-                for g in 0..self.gpu_count {
-                    if g != gpu && page.remote_maps & (1 << g) != 0 {
-                        report.invalidate.push((vpn, g));
-                    }
-                }
-                page.remote_maps = 0;
-                report.migrated.push((vpn, new_home));
-            }
+            evict_copy(page, vpn, gpu, self.gpu_count, &mut self.stats, &mut report);
         }
         report
     }
@@ -557,47 +572,12 @@ impl PageDirectory {
     /// Panics if `gpu` is out of range.
     pub fn evict_page(&mut self, vpn: u64, gpu: GpuId) -> Option<EvictionReport> {
         assert!(gpu < self.gpu_count, "gpu {gpu} out of range");
-        let bit = 1u64 << gpu;
-        let gpu_count = self.gpu_count;
         let page = self.pages.get_mut(&vpn)?;
-        if page.home != Location::Gpu(gpu)
-            && page.replicas & bit == 0
-            && page.remote_maps & bit == 0
-        {
+        if !page.involves(gpu) {
             return None;
         }
         let mut report = EvictionReport::default();
-        if page.replicas & bit != 0 {
-            page.replicas &= !bit;
-            report.dropped_replicas.push(vpn);
-        }
-        if page.remote_maps & bit != 0 {
-            page.remote_maps &= !bit;
-            report.dropped_remote_maps.push(vpn);
-        }
-        if let Some(c) = page.access_counts.get_mut(gpu as usize) {
-            *c = 0;
-        }
-        if let Some(c) = page.fault_counts.get_mut(gpu as usize) {
-            *c = 0;
-        }
-        if page.home == Location::Gpu(gpu) {
-            let new_home = (0..gpu_count)
-                .find(|&g| page.replicas & (1 << g) != 0)
-                .map_or(Location::Cpu, |g| {
-                    page.replicas &= !(1 << g);
-                    Location::Gpu(g)
-                });
-            page.home = new_home;
-            self.stats.migrations = self.stats.migrations.saturating_add(1);
-            for g in 0..gpu_count {
-                if g != gpu && page.remote_maps & (1 << g) != 0 {
-                    report.invalidate.push((vpn, g));
-                }
-            }
-            page.remote_maps = 0;
-            report.migrated.push((vpn, new_home));
-        }
+        evict_copy(page, vpn, gpu, self.gpu_count, &mut self.stats, &mut report);
         Some(report)
     }
 
@@ -649,7 +629,7 @@ impl PageDirectory {
             .mix(remote_maps)
             .mix(promotions)
             .mix(prefetches);
-        // DetMap iterates in ascending VPN order, so the digest input order
+        // BTreeMap iterates in ascending VPN order, so the digest input order
         // is already canonical.
         for (&vpn, page) in pages {
             let PageState {
@@ -1000,7 +980,7 @@ mod tests {
         d.resolve_fault(7, 2, false);
         d.resolve_fault(9, 2, false);
         d.resolve_fault(11, 0, false);
-        let mut pins = DetSet::new();
+        let mut pins = BTreeSet::new();
         pins.insert(9); // a forwarded walk on vpn 9 is still in flight
         pins.insert(11); // pinned but not involving GPU 2: not deferred
         let report = d.evict_gpu_pinned(2, &pins);

@@ -19,9 +19,10 @@
 //! The engine is deterministic: ties break on ascending VPN, maps iterate
 //! in sorted order, and no randomness is drawn anywhere.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ptw::GpuId;
 use sim_core::checkpoint::StateDigest;
-use sim_core::det::{DetMap, DetSet};
 
 use crate::directory::PageDirectory;
 use crate::policy::{OwnershipTransaction, TxnKind};
@@ -62,7 +63,7 @@ pub struct VictimPick {
 pub struct EvictionEngine {
     policy: EvictPolicy,
     /// Per GPU: resident VPN → last-touch cycle.
-    resident: Vec<DetMap<u64, u64>>,
+    resident: Vec<BTreeMap<u64, u64>>,
 }
 
 impl EvictionEngine {
@@ -70,7 +71,7 @@ impl EvictionEngine {
     pub fn new(policy: EvictPolicy, gpus: GpuId) -> Self {
         Self {
             policy,
-            resident: vec![DetMap::new(); usize::from(gpus)],
+            resident: vec![BTreeMap::new(); usize::from(gpus)],
         }
     }
 
@@ -81,7 +82,7 @@ impl EvictionEngine {
 
     /// Resident pages currently tracked on `gpu` (the capacity measure).
     pub fn resident_count(&self, gpu: GpuId) -> usize {
-        self.resident.get(usize::from(gpu)).map_or(0, DetMap::len)
+        self.resident.get(usize::from(gpu)).map_or(0, BTreeMap::len)
     }
 
     /// Whether `vpn` is tracked as resident on `gpu`.
@@ -176,7 +177,7 @@ impl EvictionEngine {
         &self,
         gpu: GpuId,
         dir: &PageDirectory,
-        pinned: &DetSet<u64>,
+        pinned: &BTreeSet<u64>,
         protect_hot: usize,
     ) -> VictimPick {
         let Some(m) = self.resident.get(usize::from(gpu)) else {
@@ -249,8 +250,8 @@ mod tests {
     use ptw::Location;
     use sim_core::SimRng;
 
-    fn pins(vpns: &[u64]) -> DetSet<u64> {
-        let mut s = DetSet::new();
+    fn pins(vpns: &[u64]) -> BTreeSet<u64> {
+        let mut s = BTreeSet::new();
         for &v in vpns {
             s.insert(v);
         }
@@ -264,10 +265,10 @@ mod tests {
         e.note_resident(0, 5, 100);
         e.note_resident(0, 9, 50);
         e.note_resident(0, 3, 50);
-        let pick = e.select_victim(0, &dir, &DetSet::new(), 0);
+        let pick = e.select_victim(0, &dir, &BTreeSet::new(), 0);
         assert_eq!(pick.victim, Some(3), "oldest touch; vpn breaks the tie");
         e.note_touch(0, 3, 200);
-        let pick = e.select_victim(0, &dir, &DetSet::new(), 0);
+        let pick = e.select_victim(0, &dir, &BTreeSet::new(), 0);
         assert_eq!(pick.victim, Some(9), "touch refreshed 3's recency");
     }
 
@@ -278,7 +279,7 @@ mod tests {
         e: &EvictionEngine,
         gpu: GpuId,
         dir: &PageDirectory,
-        pinned: &DetSet<u64>,
+        pinned: &BTreeSet<u64>,
         protect_hot: usize,
     ) -> VictimPick {
         let mut pinned_skipped = 0u64;
@@ -335,7 +336,7 @@ mod tests {
                     }
                 }
             }
-            let mut pinned = DetSet::new();
+            let mut pinned = BTreeSet::new();
             for vpn in 0..universe {
                 if rng.chance(0.2) {
                     pinned.insert(vpn);
@@ -382,9 +383,9 @@ mod tests {
         let mut e = EvictionEngine::new(EvictPolicy::Lru, 2);
         e.note_resident(0, 1, 10);
         e.note_resident(0, 2, 20);
-        let pick = e.select_victim(0, &dir, &DetSet::new(), 2);
+        let pick = e.select_victim(0, &dir, &BTreeSet::new(), 2);
         assert_eq!(pick.victim, None, "both candidates are protected");
-        let pick = e.select_victim(0, &dir, &DetSet::new(), 1);
+        let pick = e.select_victim(0, &dir, &BTreeSet::new(), 1);
         assert_eq!(pick.victim, Some(1), "the colder page is still evictable");
     }
 
@@ -399,7 +400,7 @@ mod tests {
         let mut e = EvictionEngine::new(EvictPolicy::AccessCounter, 2);
         e.note_resident(0, 5, 10); // 5 is older by recency...
         e.note_resident(0, 9, 20);
-        let pick = e.select_victim(0, &dir, &DetSet::new(), 0);
+        let pick = e.select_victim(0, &dir, &BTreeSet::new(), 0);
         assert_eq!(pick.victim, Some(9), "...but 9 is colder by heat");
     }
 
