@@ -6,7 +6,8 @@
 //! * [`PageTable`] — a 4- or 5-level radix page table with per-level node
 //!   tracking, so a walk knows exactly how many memory accesses it performs
 //!   (100 cycles each in the paper's configuration) and where a failed walk
-//!   for a non-resident page stops.
+//!   for a non-resident page stops. Its levels are [`VpnMap`]s: 512-slot
+//!   chunks indexed by VPN, iterated in key order.
 //! * [`PwCache`] — the page-walk cache in its three organisations: the
 //!   **Unified Translation Cache** (the paper's default: one array mixing
 //!   entries of all levels, longest-prefix match), the **Split Translation
@@ -39,11 +40,13 @@ pub mod asap;
 pub mod pwc;
 pub mod queue;
 pub mod table;
+pub mod vpn_map;
 
 pub use asap::Asap;
 pub use pwc::{cached_walk, CachedWalk, PwCache, PwCacheStats, Utc};
 pub use queue::{PwQueue, WalkerPool};
 pub use table::{GpuId, Location, PageTable, Pte, WalkResult};
+pub use vpn_map::VpnMap;
 
 /// Bits of virtual page number consumed per radix level.
 ///

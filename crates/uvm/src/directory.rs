@@ -1,8 +1,8 @@
 //! The driver's centralised view of page placement.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use ptw::{GpuId, Location};
+use ptw::{GpuId, Location, VpnMap};
 use sim_core::SimError;
 
 use crate::policy::{OwnershipTransaction, PolicyDecision, PolicyKind, TxnKind};
@@ -164,6 +164,10 @@ fn evict_copy(
 /// ownership change is reported as an [`OwnershipTransaction`] the memory
 /// system mirrors atomically.
 ///
+/// Page states are stored in a [`VpnMap`] (512-page chunks indexed by VPN),
+/// so a fault resolves with one chunk lookup plus an array index, and every
+/// walk over the directory visits pages in ascending VPN order.
+///
 /// # Examples
 ///
 /// ```
@@ -180,7 +184,7 @@ fn evict_copy(
 pub struct PageDirectory {
     gpu_count: u16,
     kind: PolicyKind,
-    pages: BTreeMap<u64, PageState>,
+    pages: VpnMap<PageState>,
     stats: DirectoryStats,
 }
 
@@ -195,7 +199,7 @@ impl PageDirectory {
         Self {
             gpu_count,
             kind,
-            pages: BTreeMap::new(),
+            pages: VpnMap::new(),
             stats: DirectoryStats::default(),
         }
     }
@@ -207,17 +211,17 @@ impl PageDirectory {
 
     /// Current home of `vpn` (CPU for never-touched pages).
     pub fn home(&self, vpn: u64) -> Location {
-        self.pages.get(&vpn).map_or(Location::Cpu, |p| p.home)
+        self.pages.get(vpn).map_or(Location::Cpu, |p| p.home)
     }
 
     /// Whether `gpu` holds a resident copy of `vpn`.
     pub fn is_resident(&self, vpn: u64, gpu: GpuId) -> bool {
-        self.pages.get(&vpn).is_some_and(|p| p.resident_on(gpu))
+        self.pages.get(vpn).is_some_and(|p| p.resident_on(gpu))
     }
 
     /// Placement state, if the page was ever touched.
     pub fn page(&self, vpn: u64) -> Option<&PageState> {
-        self.pages.get(&vpn)
+        self.pages.get(vpn)
     }
 
     /// Directly places a page (initial/warm-up placement): sets the home
@@ -226,8 +230,7 @@ impl PageDirectory {
         let gpu_count = self.gpu_count;
         let page = self
             .pages
-            .entry(vpn)
-            .or_insert_with(|| PageState::cold(gpu_count));
+            .get_or_insert_with(vpn, || PageState::cold(gpu_count));
         page.home = loc;
     }
 
@@ -237,8 +240,7 @@ impl PageDirectory {
         let gpu_count = self.gpu_count;
         let page = self
             .pages
-            .entry(vpn)
-            .or_insert_with(|| PageState::cold(gpu_count));
+            .get_or_insert_with(vpn, || PageState::cold(gpu_count));
         page.remote_maps |= 1 << gpu;
     }
 
@@ -283,8 +285,7 @@ impl PageDirectory {
         let gpu_count = self.gpu_count;
         let page = self
             .pages
-            .entry(vpn)
-            .or_insert_with(|| PageState::cold(gpu_count));
+            .get_or_insert_with(vpn, || PageState::cold(gpu_count));
 
         if page.resident_on(gpu) && !(is_write && page.replicas != 0) {
             return Ok(OwnershipTransaction {
@@ -426,8 +427,7 @@ impl PageDirectory {
         let gpu_count = self.gpu_count;
         let page = self
             .pages
-            .entry(vpn)
-            .or_insert_with(|| PageState::cold(gpu_count));
+            .get_or_insert_with(vpn, || PageState::cold(gpu_count));
         if page.home == Location::Gpu(gpu) || page.replicas != 0 || page.remote_maps != 0 {
             return None;
         }
@@ -474,8 +474,7 @@ impl PageDirectory {
         let gpu_count = self.gpu_count;
         let page = self
             .pages
-            .entry(vpn)
-            .or_insert_with(|| PageState::cold(gpu_count));
+            .get_or_insert_with(vpn, || PageState::cold(gpu_count));
         if page.home == Location::Gpu(gpu) {
             return None;
         }
@@ -545,9 +544,9 @@ impl PageDirectory {
     pub fn evict_gpu_pinned(&mut self, gpu: GpuId, pins: &BTreeSet<u64>) -> EvictionReport {
         assert!(gpu < self.gpu_count, "gpu {gpu} out of range");
         let mut report = EvictionReport::default();
-        // BTreeMap iterates in ascending VPN order: the report lists pages in
+        // VpnMap iterates in ascending VPN order: the report lists pages in
         // the same deterministic order on every run.
-        for (&vpn, page) in self.pages.iter_mut() {
+        for (vpn, page) in self.pages.iter_mut() {
             if pins.contains(&vpn) && page.involves(gpu) {
                 report.deferred.push(vpn);
                 continue;
@@ -572,7 +571,7 @@ impl PageDirectory {
     /// Panics if `gpu` is out of range.
     pub fn evict_page(&mut self, vpn: u64, gpu: GpuId) -> Option<EvictionReport> {
         assert!(gpu < self.gpu_count, "gpu {gpu} out of range");
-        let page = self.pages.get_mut(&vpn)?;
+        let page = self.pages.get_mut(vpn)?;
         if !page.involves(gpu) {
             return None;
         }
@@ -582,16 +581,14 @@ impl PageDirectory {
     }
 
     /// Every VPN with a resident copy (home or replica) on `gpu`, in
-    /// ascending order — the seed list for a PRT rebuild on rejoin.
+    /// ascending order (the directory iterates by VPN, so no sort is
+    /// needed) — the seed list for a PRT rebuild on rejoin.
     pub fn resident_vpns_on(&self, gpu: GpuId) -> Vec<u64> {
-        let mut vpns: Vec<u64> = self
-            .pages
+        self.pages
             .iter()
             .filter(|(_, p)| p.resident_on(gpu))
-            .map(|(&vpn, _)| vpn)
-            .collect();
-        vpns.sort_unstable();
-        vpns
+            .map(|(vpn, _)| vpn)
+            .collect()
     }
 
     /// A 64-bit order-independent-input digest of the directory: its
@@ -629,9 +626,9 @@ impl PageDirectory {
             .mix(remote_maps)
             .mix(promotions)
             .mix(prefetches);
-        // BTreeMap iterates in ascending VPN order, so the digest input order
+        // VpnMap iterates in ascending VPN order, so the digest input order
         // is already canonical.
-        for (&vpn, page) in pages {
+        for (vpn, page) in pages.iter() {
             let PageState {
                 home,
                 replicas,
@@ -672,7 +669,7 @@ impl PageDirectory {
         } else {
             (1u64 << self.gpu_count) - 1
         };
-        for (&vpn, page) in &self.pages {
+        for (vpn, page) in self.pages.iter() {
             if let Location::Gpu(h) = page.home {
                 if h >= self.gpu_count {
                     violations.push(format!("page {vpn}: home gpu {h} out of range"));
@@ -719,6 +716,19 @@ impl PageDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn far_vpns_allocate_one_chunk_each() {
+        let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
+        d.place(u64::MAX, Location::Gpu(1));
+        assert_eq!(d.pages.chunk_count(), 1);
+        d.resolve_fault(1 << 40, 1, false);
+        assert_eq!(d.pages.chunk_count(), 2);
+        d.resolve_fault((1 << 40) + 1, 1, false);
+        assert_eq!(d.pages.chunk_count(), 2, "same 512-page chunk");
+        assert_eq!(d.resident_vpns_on(1), [1 << 40, (1 << 40) + 1, u64::MAX]);
+        assert_eq!(d.home(u64::MAX - 1), Location::Cpu);
+    }
 
     #[test]
     fn on_touch_first_fault_migrates_from_cpu() {
@@ -880,7 +890,7 @@ mod tests {
         d.resolve_fault(5, 0, false);
         // Corrupt the directory the way a dropped invalidation would:
         // a replica bit for a GPU that does not exist.
-        d.pages.get_mut(&5).unwrap().replicas = 1 << 7;
+        d.pages.get_mut(5).unwrap().replicas = 1 << 7;
         let err = d.audit().unwrap_err();
         assert!(matches!(err, SimError::InvariantViolation(_)), "{err}");
         assert!(err.to_string().contains("nonexistent"));
@@ -1092,11 +1102,11 @@ mod tests {
         let mut base = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 9 });
         base.place(5, Location::Gpu(0));
         let mut access = base.clone();
-        access.pages.get_mut(&5).unwrap().access_counts[2] = 1;
+        access.pages.get_mut(5).unwrap().access_counts[2] = 1;
         let mut fault = base.clone();
-        fault.pages.get_mut(&5).unwrap().fault_counts[2] = 1;
+        fault.pages.get_mut(5).unwrap().fault_counts[2] = 1;
         let mut other_gpu = base.clone();
-        other_gpu.pages.get_mut(&5).unwrap().fault_counts[3] = 1;
+        other_gpu.pages.get_mut(5).unwrap().fault_counts[3] = 1;
         let digests = [&base, &access, &fault, &other_gpu].map(PageDirectory::state_digest);
         for (i, a) in digests.iter().enumerate() {
             for b in &digests[i + 1..] {
@@ -1112,7 +1122,7 @@ mod tests {
     fn audit_flags_home_listed_as_replica() {
         let mut d = PageDirectory::with_policy(2, PolicyKind::ReadDuplicate);
         d.resolve_fault(5, 0, false);
-        d.pages.get_mut(&5).unwrap().replicas = 1 << 0;
+        d.pages.get_mut(5).unwrap().replicas = 1 << 0;
         let err = d.audit().unwrap_err();
         assert!(err.to_string().contains("listed as replica"));
     }

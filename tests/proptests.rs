@@ -11,8 +11,8 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use transfw_sim::cuckoo::CuckooFilter;
 use transfw_sim::mgpu::metrics::SharingProfile;
 use transfw_sim::mgpu::{run_with_restore, System, SystemConfig};
-use transfw_sim::ptw::{Location, PageTable, Pte};
-use transfw_sim::sim_core::{ComponentEvent, EventQueue, FaultPlan, SimRng};
+use transfw_sim::ptw::{Location, PageTable, Pte, VpnMap};
+use transfw_sim::sim_core::{ComponentEvent, EventQueue, FaultPlan, SimRng, Stream};
 use transfw_sim::tlb::{Mshr, MshrOutcome, Tlb};
 use transfw_sim::uvm::{PageDirectory, PolicyKind};
 use transfw_sim::workloads::{self, Pattern};
@@ -194,6 +194,65 @@ fn page_table_walks_match_model() {
             }
         }
         assert_eq!(pt.mapped_pages(), model.len());
+    }
+}
+
+/// `VpnMap` agrees with a `BTreeMap` model on every call, over dense keys,
+/// keys around a 512-key chunk boundary and sparse keys up to `u64::MAX`.
+/// After each step the length, the chunk count (one per occupied 512-key
+/// run, so drained chunks are freed) and the full ordered iteration match.
+#[test]
+fn vpn_map_matches_btreemap() {
+    for case in 0..CASES {
+        let mut rng = SimRng::stream(0x7B11 ^ case, Stream::Root, 0);
+        let sparse: Vec<u64> = (0..6)
+            .map(|_| rng.next_u64())
+            .chain([u64::MAX, u64::MAX - 512, 1 << 40])
+            .collect();
+        let mut map: VpnMap<u64> = VpnMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for step in 0..400u64 {
+            let key = match rng.gen_range(3) {
+                0 => rng.gen_range(4096),
+                1 => [0, 511, 512, 513, 1023, 1024][rng.gen_index(6)],
+                _ => sparse[rng.gen_index(sparse.len())],
+            };
+            match rng.gen_range(6) {
+                0 | 1 => assert_eq!(map.insert(key, step), model.insert(key, step)),
+                2 => assert_eq!(map.remove(key), model.remove(&key)),
+                3 => assert_eq!(map.get(key), model.get(&key)),
+                4 => {
+                    let got = map.get_mut(key).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let want = model.get_mut(&key).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    assert_eq!(got, want);
+                }
+                _ => {
+                    let got = *map.get_or_insert_with(key, || step);
+                    assert_eq!(got, *model.entry(key).or_insert(step));
+                }
+            }
+            assert_eq!(map.len(), model.len());
+            assert_eq!(map.is_empty(), model.is_empty());
+            let chunks: BTreeSet<u64> = model.keys().map(|k| k >> 9).collect();
+            assert_eq!(map.chunk_count(), chunks.len(), "case {case} step {step}");
+            assert!(
+                map.iter().eq(model.iter().map(|(&k, v)| (k, v))),
+                "case {case} step {step}: iteration differs"
+            );
+        }
+        for (_, v) in map.iter_mut() {
+            *v *= 3;
+        }
+        for v in model.values_mut() {
+            *v *= 3;
+        }
+        assert!(map.iter().eq(model.iter().map(|(&k, v)| (k, v))));
     }
 }
 
