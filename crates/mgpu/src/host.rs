@@ -5,7 +5,7 @@
 
 use std::ops::RangeInclusive;
 
-use ptw::Location;
+use ptw::{GpuId, Location};
 use sim_core::{Cycle, SimError};
 use uvm::TxnKind;
 
@@ -44,15 +44,7 @@ impl System {
         // Miss: consult the FT and maybe forward, then join the PW-queue.
         let occupancy = self.host.queue.len();
         self.overload.observe_host(occupancy);
-        let forward_to = self.host.ft.as_mut().and_then(|ft| {
-            let owners: Vec<_> = ft.lookup(vpn).into_iter().filter(|&o| o != g).collect();
-            if owners.is_empty() {
-                None
-            } else {
-                let pick = self.rng.gen_index(owners.len());
-                owners.get(pick).copied()
-            }
-        });
+        let forward_to = self.forward_owner(vpn, g);
         if let Some(owner) = forward_to {
             if self
                 .policy
@@ -83,11 +75,26 @@ impl System {
         }
     }
 
+    /// The GPU a far fault on `vpn` from `requester` may be forwarded to:
+    /// one FT candidate owner other than the requester, drawn uniformly
+    /// from the root RNG (one draw, and only when there is a candidate).
+    /// `None` without an FT or a candidate.
+    fn forward_owner(&mut self, vpn: u64, requester: GpuId) -> Option<GpuId> {
+        let ft = self.host.ft.as_mut()?;
+        let mut owners = ft.lookup(vpn);
+        owners.retain(|&o| o != requester);
+        if owners.is_empty() {
+            return None;
+        }
+        let pick = self.rng.gen_index(owners.len());
+        owners.get(pick).copied()
+    }
+
     /// Overload gate on the forwarding fast path: consults the peer's
     /// host→GPU link backlog (congestion) and its circuit breaker. Always
     /// permissive while overload control is disabled, so the pre-overload
     /// forward decision — and therefore the event stream — is unchanged.
-    fn allow_forward(&mut self, owner: ptw::GpuId, req: ReqId, now: Cycle) -> bool {
+    fn allow_forward(&mut self, owner: GpuId, req: ReqId, now: Cycle) -> bool {
         if !self.overload.active() {
             return true;
         }
@@ -342,15 +349,7 @@ impl System {
 
         let backlog = self.driver.pending_len();
         let threads = self.driver.config().walk_threads;
-        let forward_to = self.host.ft.as_mut().and_then(|ft| {
-            let owners: Vec<_> = ft.lookup(vpn).into_iter().filter(|&o| o != g).collect();
-            if owners.is_empty() {
-                None
-            } else {
-                let pick = self.rng.gen_index(owners.len());
-                owners.get(pick).copied()
-            }
-        });
+        let forward_to = self.forward_owner(vpn, g);
         if let Some(owner) = forward_to {
             if (self.policy.should_forward(backlog, threads) || self.driver.is_busy())
                 && self.allow_forward(owner, req, now)

@@ -1176,11 +1176,11 @@ impl ProtocolState {
             match dir.page(v) {
                 Some(p) => {
                     d.mix(loc_code(p.home)).mix(p.replicas).mix(p.remote_maps);
-                    for &c in &p.access_counts {
-                        d.mix(u64::from(c));
+                    for (a, _) in p.counts() {
+                        d.mix(u64::from(a));
                     }
-                    for &c in &p.fault_counts {
-                        d.mix(u64::from(c));
+                    for (_, f) in p.counts() {
+                        d.mix(u64::from(f));
                     }
                 }
                 None => {

@@ -417,6 +417,8 @@ impl System {
             driver,
             driver_batch,
             reqs,
+            completed_reqs: _, // derived: the `completed` flags mixed per request
+            waiter_buf: _,     // scratch, empty between events
             metrics,
             policy: _, // a fixed threshold from the config
             rng,
@@ -510,6 +512,7 @@ impl System {
                 ctas,
                 gen,
                 inflight,
+                l1_holders: _, // derived: a superset of the L1 contents, which only steer hits
             } = gpu;
             d.mix(l2.hits())
                 .mix(l2.misses())

@@ -8,7 +8,7 @@ use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex};
 
 use interconnect::Fabric;
-use ptw::{Asap, GpuId, Location, PageTable, Pte, PwCache, PwQueue, WalkerPool};
+use ptw::{Asap, GpuId, Location, PageTable, Pte, PwCache, PwQueue, VpnMap, WalkerPool};
 use sim_core::{
     CheckpointLog, Cycle, EventQueue, FaultInjector, MessageFate, SimError, SimRng, Stream,
 };
@@ -162,6 +162,37 @@ pub(crate) struct Gpu {
     /// Jobs whose walk is in flight (walker acquired, completion pending) —
     /// drained and re-issued when the GPU goes offline.
     pub inflight: Vec<GmmuJob>,
+    /// L1 holder mask per VPN: bit `cu % 64` is set for every CU whose L1
+    /// TLB may hold the translation. Always a superset of the real holders,
+    /// so a shootdown visits only the flagged CUs.
+    pub l1_holders: VpnMap<u64>,
+}
+
+impl Gpu {
+    /// Fills CU `cu`'s L1 TLB; every L1 fill goes through here, so the
+    /// holder mask flags every CU that can hold `vpn`. A CU that is the
+    /// only one on its mask bit (every CU when there are at most 64)
+    /// clears the bit of the LRU victim it evicts. A misrouted `cu` is
+    /// ignored (the fill is a performance hint, not a protocol step).
+    fn fill_l1(&mut self, cu: u16, vpn: u64, entry: TransEntry) {
+        let sole_on_bit = usize::from(cu % 64) + 64 >= self.cus.len();
+        let Some(c) = self.cus.get_mut(usize::from(cu)) else {
+            return;
+        };
+        let bit = 1u64 << (cu % 64);
+        *self.l1_holders.get_or_insert_with(vpn, || 0) |= bit;
+        let Some((victim, _)) = c.l1.fill(vpn, entry) else {
+            return;
+        };
+        if sole_on_bit {
+            if let Some(mask) = self.l1_holders.get_mut(victim) {
+                *mask &= !bit;
+                if *mask == 0 {
+                    self.l1_holders.remove(victim);
+                }
+            }
+        }
+    }
 }
 
 pub(crate) struct HostMmu {
@@ -198,6 +229,11 @@ pub struct System {
     pub(crate) driver: UvmDriver<ReqId>,
     pub(crate) driver_batch: Vec<ReqId>,
     pub(crate) reqs: ReqArena,
+    /// Requests in `reqs` whose `completed` flag is set: bumped when a
+    /// request first retires, so the outstanding count is a subtraction.
+    pub(crate) completed_reqs: u64,
+    /// Reused buffer for the waiters a completed MSHR entry releases.
+    pub(crate) waiter_buf: Vec<WfRef>,
     pub(crate) metrics: RunMetrics,
     pub(crate) policy: ForwardPolicy,
     pub(crate) rng: SimRng,
@@ -295,6 +331,7 @@ impl System {
                 ctas: VecDeque::new(),
                 gen: 0,
                 inflight: Vec::new(),
+                l1_holders: VpnMap::new(),
             })
             .collect();
         let host = HostMmu {
@@ -329,6 +366,8 @@ impl System {
             }),
             driver_batch: Vec::new(),
             reqs: ReqArena::new(),
+            completed_reqs: 0,
+            waiter_buf: Vec::new(),
             metrics: RunMetrics::default(),
             policy,
             rng: SimRng::stream(cfg.seed, Stream::Root, 0),
@@ -384,6 +423,13 @@ impl System {
     /// state, or an [`SimError::InvariantViolation`] from the post-run
     /// auditor.
     pub fn run(mut self, workload: &dyn Workload) -> Result<RunMetrics, SimError> {
+        self.simulate(workload)?;
+        self.finalize()
+    }
+
+    /// Places the workload, then runs the event loop until it drains;
+    /// [`run`](Self::run) without the post-run audit and metrics.
+    pub(crate) fn simulate(&mut self, workload: &dyn Workload) -> Result<(), SimError> {
         self.cache_hit_rate = workload.data_cache_hit_rate();
         self.metrics.app = workload.name().to_string();
 
@@ -517,8 +563,7 @@ impl System {
             };
             self.dispatch(ev, workload)?;
         }
-
-        self.finalize()
+        Ok(())
     }
 
     /// Whether an event is watchdog/recovery bookkeeping: excluded from
@@ -552,8 +597,8 @@ impl System {
     }
 
     /// Translation requests created but not yet retired.
-    fn outstanding_requests(&self) -> u64 {
-        self.reqs.iter().filter(|r| !r.completed).count() as u64
+    pub(crate) fn outstanding_requests(&self) -> u64 {
+        self.reqs.len() as u64 - self.completed_reqs
     }
 
     fn dispatch(&mut self, ev: Event, workload: &dyn Workload) -> Result<(), SimError> {
@@ -782,7 +827,10 @@ impl System {
             debug_assert!(false, "retire of unknown request {req}");
             return;
         };
-        r.completed = true;
+        if !r.completed {
+            r.completed = true;
+            self.completed_reqs += 1;
+        }
         r.retire_count += 1;
         let (born, vpn, gpu) = (r.born, r.vpn, r.gpu);
         self.metrics.resilience.requests_retired =
@@ -1013,15 +1061,11 @@ impl System {
         Ok(())
     }
 
-    /// Fills the L1 TLB of the CU addressed by `wf`, ignoring a misrouted
-    /// reference (the fill is a performance hint, not a protocol step).
+    /// Fills the L1 TLB of the CU addressed by `wf` (see
+    /// [`Gpu::fill_l1`]), ignoring a misrouted reference.
     fn l1_fill(&mut self, wf: WfRef, vpn: u64, entry: TransEntry) {
-        if let Some(cu) = self
-            .gpus
-            .get_mut(wf.gpu as usize)
-            .and_then(|gpu| gpu.cus.get_mut(wf.cu as usize))
-        {
-            cu.l1.fill(vpn, entry);
+        if let Some(gpu) = self.gpus.get_mut(wf.gpu as usize) {
+            gpu.fill_l1(wf.cu, vpn, entry);
         }
     }
 
@@ -1251,15 +1295,17 @@ impl System {
         reason = "event-loop fast path over the request/GPU arenas; ids are allocated densely by push and freed only at retire, so indexing is bounds-safe by construction"
     )]
     pub(crate) fn complete_translation(&mut self, g: GpuId, vpn: u64, entry: TransEntry) {
-        self.gpus[g as usize].l2.fill(vpn, entry);
-        let waiters = self.gpus[g as usize].mshr.complete(vpn);
-        for wf in waiters {
-            self.gpus[wf.gpu as usize].cus[wf.cu as usize]
-                .l1
-                .fill(vpn, entry);
+        let mut waiters = std::mem::take(&mut self.waiter_buf);
+        let gpu = &mut self.gpus[g as usize];
+        gpu.l2.fill(vpn, entry);
+        gpu.mshr.complete_into(vpn, &mut waiters);
+        for &wf in &waiters {
+            self.l1_fill(wf, vpn, entry);
             let lat = self.data_latency(g, vpn, entry);
             self.events.push(self.now + lat, Event::DataDone(wf));
         }
+        waiters.clear();
+        self.waiter_buf = waiters;
     }
 
     /// End-of-run structural audit: every queue drained, every walker
@@ -1442,8 +1488,13 @@ impl ProtocolTables for System {
     fn tlb_shootdown(&mut self, gpu: GpuId, vpn: u64) {
         if let Some(g) = self.gpus.get_mut(gpu as usize) {
             g.l2.invalidate(vpn);
-            for cu in &mut g.cus {
-                cu.l1.invalidate(vpn);
+            let mut mask = g.l1_holders.remove(vpn).unwrap_or(0);
+            while mask != 0 {
+                let bit = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                for cu in g.cus.iter_mut().skip(bit).step_by(64) {
+                    cu.l1.invalidate(vpn);
+                }
             }
         }
     }
@@ -1457,6 +1508,7 @@ impl ProtocolTables for System {
             for cu in &mut g.cus {
                 cu.l1.flush();
             }
+            g.l1_holders = VpnMap::new();
         }
     }
 

@@ -559,3 +559,105 @@ fn gpu_offline_mid_run_recovers_on_scripted_workload() {
     assert_eq!(m.mem_instructions, 64);
     assert_eq!(m.resilience.requests_retired, m.translation_requests);
 }
+
+/// Each CTA sweeps 80 distinct pages of a 96-page footprint from its own
+/// offset, writing every fourth access: CTAs on different GPUs share
+/// pages, so pages migrate back and forth (and get shot down), and every
+/// CU touches more pages than its 32-entry L1 holds, so fills evict LRU
+/// victims.
+#[derive(Debug)]
+struct SharedSweep {
+    ctas: usize,
+}
+
+impl Workload for SharedSweep {
+    fn name(&self) -> &str {
+        "shared-sweep"
+    }
+    fn footprint_pages(&self) -> u64 {
+        96
+    }
+    fn cta_count(&self) -> usize {
+        self.ctas
+    }
+    fn make_stream(&self, cta: usize, _seed: u64) -> Box<dyn AccessStream> {
+        let base = cta as u64 * 7;
+        let accesses: Vec<Access> = (0..80u64)
+            .map(|i| {
+                let vpn = (base + i * 5) % 96;
+                if i % 4 == 0 {
+                    Access::write(vpn, 2)
+                } else {
+                    Access::read(vpn, 2)
+                }
+            })
+            .collect();
+        Box::new(accesses.into_iter())
+    }
+    fn initial_owner(&self, vpn: u64, gpus: u16) -> Option<u16> {
+        Some((vpn % u64::from(gpus)) as u16)
+    }
+    fn data_cache_hit_rate(&self) -> f64 {
+        0.0
+    }
+}
+
+#[test]
+fn l1_holder_mask_covers_every_l1_entry() {
+    // At 64 CUs every mask bit is one CU (victims clear their bit); at 70,
+    // CUs 0-5 share bits with CUs 64-69 and only shootdowns clear those.
+    for cus in [64u16, 70] {
+        let cfg = SystemConfig {
+            transfw: Some(TransFwKnobs::full()),
+            ..SystemConfig::builder()
+                .gpus(2)
+                .cus_per_gpu(cus)
+                .wavefronts_per_cu(1)
+                .build()
+        };
+        let w = SharedSweep {
+            ctas: 2 * usize::from(cus),
+        };
+        let mut sys = System::new(cfg);
+        sys.simulate(&w).unwrap();
+        assert!(sys.dir.stats().migrations > 0, "{cus} CUs: no migration");
+        let mut held = 0;
+        let mut shot_down = 0;
+        for (g, gpu) in sys.gpus.iter().enumerate() {
+            for (c, cu) in gpu.cus.iter().enumerate() {
+                shot_down += cu.l1.shootdowns();
+                for vpn in (0..w.footprint_pages()).filter(|&v| cu.l1.probe(v).is_some()) {
+                    held += 1;
+                    let mask = gpu.l1_holders.get(vpn).copied().unwrap_or(0);
+                    assert!(
+                        mask & (1 << (c % 64)) != 0,
+                        "{cus} CUs: GPU{g} CU{c} holds vpn {vpn} but mask is {mask:#x}"
+                    );
+                }
+            }
+        }
+        assert!(
+            held > 0 && shot_down > 0,
+            "{cus} CUs: {held} held, {shot_down} shot down"
+        );
+    }
+}
+
+#[test]
+fn completed_count_matches_a_scan_after_a_fault_injected_run() {
+    use sim_core::FaultPlan;
+    let mut cfg = SystemConfig {
+        transfw: Some(TransFwKnobs::full()),
+        ..tiny_cfg()
+    };
+    cfg.faults = FaultPlan::message_chaos(11, 0.05, 400);
+    let w = SharedSweep { ctas: 4 };
+    let mut sys = System::new(cfg);
+    sys.simulate(&w).unwrap();
+    let scanned = sys.reqs.iter().filter(|r| !r.completed).count() as u64;
+    assert_eq!(sys.outstanding_requests(), scanned);
+    assert_eq!(sys.completed_reqs, sys.reqs.len() as u64 - scanned);
+    assert!(sys.injector.stats().total() > 0, "no fault was injected");
+    let m = &sys.metrics;
+    assert_eq!(m.resilience.requests_retired, m.translation_requests);
+}

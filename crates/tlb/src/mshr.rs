@@ -1,7 +1,5 @@
 //! Miss-status holding registers with request coalescing.
 
-use std::collections::BTreeMap;
-
 /// Outcome of registering a miss with an [`Mshr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
@@ -21,6 +19,12 @@ pub enum MshrOutcome {
 /// completes. The paper relies on this heavily (§III-B: Conv2d's speedup
 /// comes from many pending requests coalescing onto one page fault).
 ///
+/// The file is flat: a dense array of outstanding tags searched linearly
+/// (occupancy is bounded by the wavefronts that can miss at once, so the
+/// scan is short) beside a parallel array of waiter lists. Completing an
+/// entry swap-removes it, and [`complete_into`](Self::complete_into)
+/// recycles the emptied list, so steady-state traffic allocates nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -34,7 +38,12 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr<W> {
-    entries: BTreeMap<u64, Vec<W>>,
+    /// Outstanding VPNs, in no particular order.
+    tags: Vec<u64>,
+    /// Waiters of `tags[i]`, primary first.
+    waiters: Vec<Vec<W>>,
+    /// Emptied waiter lists kept for reuse.
+    spare: Vec<Vec<W>>,
     capacity: usize,
     merged: u64,
     primaries: u64,
@@ -50,7 +59,9 @@ impl<W> Mshr<W> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {
-            entries: BTreeMap::new(),
+            tags: Vec::new(),
+            waiters: Vec::new(),
+            spare: Vec::new(),
             capacity,
             merged: 0,
             primaries: 0,
@@ -58,42 +69,68 @@ impl<W> Mshr<W> {
         }
     }
 
+    #[inline]
+    fn position(&self, vpn: u64) -> Option<usize> {
+        self.tags.iter().position(|&t| t == vpn)
+    }
+
     /// Registers a missing request for `vpn` carrying waiter token `waiter`.
     pub fn register(&mut self, vpn: u64, waiter: W) -> MshrOutcome {
-        if let Some(waiters) = self.entries.get_mut(&vpn) {
-            waiters.push(waiter);
+        if let Some(list) = self.position(vpn).and_then(|i| self.waiters.get_mut(i)) {
+            list.push(waiter);
             self.merged += 1;
             return MshrOutcome::Merged;
         }
-        if self.entries.len() >= self.capacity {
+        if self.tags.len() >= self.capacity {
             self.stalls += 1;
             return MshrOutcome::Full;
         }
-        self.entries.insert(vpn, vec![waiter]);
+        let mut list = self.spare.pop().unwrap_or_default();
+        list.push(waiter);
+        self.tags.push(vpn);
+        self.waiters.push(list);
         self.primaries += 1;
         MshrOutcome::Primary
+    }
+
+    /// Removes the entry for `vpn`, returning its waiter list.
+    fn take(&mut self, vpn: u64) -> Option<Vec<W>> {
+        let i = self.position(vpn)?;
+        self.tags.swap_remove(i);
+        Some(self.waiters.swap_remove(i))
     }
 
     /// Completes the outstanding fill for `vpn`, returning every coalesced
     /// waiter (primary first, in arrival order). Returns an empty vector if
     /// no entry was outstanding.
     pub fn complete(&mut self, vpn: u64) -> Vec<W> {
-        self.entries.remove(&vpn).unwrap_or_default()
+        self.take(vpn).unwrap_or_default()
+    }
+
+    /// [`complete`](Self::complete) without allocating: appends the
+    /// waiters to `out` (primary first, in arrival order) and keeps the
+    /// emptied list for a later entry. Appends nothing if no entry was
+    /// outstanding.
+    pub fn complete_into(&mut self, vpn: u64, out: &mut Vec<W>) {
+        if let Some(mut list) = self.take(vpn) {
+            out.append(&mut list);
+            self.spare.push(list);
+        }
     }
 
     /// Whether a fill for `vpn` is already in flight.
     pub fn is_outstanding(&self, vpn: u64) -> bool {
-        self.entries.contains_key(&vpn)
+        self.position(vpn).is_some()
     }
 
     /// Outstanding distinct pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.tags.len()
     }
 
     /// Whether no fills are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.tags.is_empty()
     }
 
     /// Requests that merged into an existing entry.
@@ -151,6 +188,23 @@ mod tests {
     fn complete_absent_is_empty() {
         let mut m: Mshr<u32> = Mshr::new(4);
         assert!(m.complete(42).is_empty());
+    }
+
+    #[test]
+    fn complete_into_appends_and_recycles_the_list() {
+        let mut m: Mshr<u32> = Mshr::new(2);
+        m.register(4, 1);
+        m.register(4, 2);
+        m.register(5, 3);
+        let mut out = vec![0];
+        m.complete_into(4, &mut out);
+        m.complete_into(4, &mut out);
+        assert_eq!(out, vec![0, 1, 2], "second completion finds nothing");
+        assert_eq!(m.spare.len(), 1);
+        assert_eq!(m.register(6, 7), MshrOutcome::Primary);
+        assert!(m.spare.is_empty(), "the new entry reused the list");
+        assert_eq!(m.complete(5), vec![3]);
+        assert_eq!(m.complete(6), vec![7]);
     }
 
     #[test]

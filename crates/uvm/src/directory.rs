@@ -7,8 +7,22 @@ use sim_core::SimError;
 
 use crate::policy::{OwnershipTransaction, PolicyDecision, PolicyKind, TxnKind};
 
+/// One GPU's promotion counters for one page.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Heat {
+    /// Remote accesses (remote-mapping policy only).
+    access: u32,
+    /// Far faults (the policy engine's heat signal).
+    fault: u32,
+}
+
 /// Authoritative placement state of one page.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The per-GPU access and fault counters live behind accessors: a page
+/// whose counters are all zero owns no heap memory, and the counter array
+/// is allocated on the first non-zero write. Warm placement therefore
+/// costs no allocation per page.
+#[derive(Debug, Clone)]
 pub struct PageState {
     /// Owner of the authoritative copy.
     pub home: Location,
@@ -16,12 +30,27 @@ pub struct PageState {
     pub replicas: u64,
     /// Bitmask of GPUs holding remote mappings (remote-mapping policy only).
     pub remote_maps: u64,
-    /// Per-GPU remote-access counters (remote-mapping policy only).
-    pub access_counts: Vec<u32>,
-    /// Per-GPU far-fault counters (the policy engine's heat signal; reset
-    /// when the page migrates or the GPU is evicted).
-    pub fault_counts: Vec<u32>,
+    /// GPUs the counters cover.
+    gpus: u16,
+    /// Per-GPU counters, `gpus` long once allocated; `None` reads as all
+    /// zero. Fault counters reset when the page migrates or the GPU is
+    /// evicted.
+    counters: Option<Box<[Heat]>>,
 }
+
+/// Equal placement and equal counter values, whether or not a page's zero
+/// counters are allocated.
+impl PartialEq for PageState {
+    fn eq(&self, other: &Self) -> bool {
+        self.home == other.home
+            && self.replicas == other.replicas
+            && self.remote_maps == other.remote_maps
+            && self.gpus == other.gpus
+            && self.counts().eq(other.counts())
+    }
+}
+
+impl Eq for PageState {}
 
 impl PageState {
     /// A never-touched page: homed on the CPU with zeroed counters.
@@ -30,8 +59,82 @@ impl PageState {
             home: Location::Cpu,
             replicas: 0,
             remote_maps: 0,
-            access_counts: vec![0; gpu_count as usize],
-            fault_counts: vec![0; gpu_count as usize],
+            gpus: gpu_count,
+            counters: None,
+        }
+    }
+
+    fn heat_of(&self, gpu: GpuId) -> Heat {
+        self.counters
+            .as_ref()
+            .and_then(|c| c.get(gpu as usize))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Remote accesses `gpu` made to this page (remote-mapping policy only).
+    pub fn access_count(&self, gpu: GpuId) -> u32 {
+        self.heat_of(gpu).access
+    }
+
+    /// Far faults `gpu` raised on this page since it last migrated.
+    pub fn fault_count(&self, gpu: GpuId) -> u32 {
+        self.heat_of(gpu).fault
+    }
+
+    /// Every GPU's `(access, fault)` counters, in GPU order.
+    pub fn counts(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.gpus).map(|g| {
+            let h = self.heat_of(g);
+            (h.access, h.fault)
+        })
+    }
+
+    /// The sum of every GPU's fault and access counters.
+    pub fn heat(&self) -> u64 {
+        self.counters.as_deref().map_or(0, |c| {
+            c.iter()
+                .map(|h| u64::from(h.access) + u64::from(h.fault))
+                .sum()
+        })
+    }
+
+    /// `gpu`'s counters, allocating the page's array on first use; `None`
+    /// for an out-of-range GPU (a corrupted descriptor has no slot).
+    fn heat_mut(&mut self, gpu: GpuId) -> Option<&mut Heat> {
+        if gpu >= self.gpus {
+            return None;
+        }
+        let gpus = usize::from(self.gpus);
+        self.counters
+            .get_or_insert_with(|| vec![Heat::default(); gpus].into_boxed_slice())
+            .get_mut(gpu as usize)
+    }
+
+    /// Counts one far fault by `gpu`; an out-of-range GPU is ignored.
+    pub(crate) fn bump_fault(&mut self, gpu: GpuId) {
+        if let Some(h) = self.heat_mut(gpu) {
+            h.fault += 1;
+        }
+    }
+
+    /// Counts one remote access by `gpu` and returns its new count, or
+    /// `None` for an out-of-range GPU.
+    pub(crate) fn bump_access(&mut self, gpu: GpuId) -> Option<u32> {
+        let h = self.heat_mut(gpu)?;
+        h.access += 1;
+        Some(h.access)
+    }
+
+    /// Zeroes every counter, freeing the array.
+    fn clear_counters(&mut self) {
+        self.counters = None;
+    }
+
+    /// Zeroes `gpu`'s counters.
+    fn clear_counters_of(&mut self, gpu: GpuId) {
+        if let Some(h) = self.counters.as_mut().and_then(|c| c.get_mut(gpu as usize)) {
+            *h = Heat::default();
         }
     }
 
@@ -132,12 +235,7 @@ fn evict_copy(
         page.remote_maps &= !bit;
         report.dropped_remote_maps.push(vpn);
     }
-    if let Some(c) = page.access_counts.get_mut(gpu as usize) {
-        *c = 0;
-    }
-    if let Some(c) = page.fault_counts.get_mut(gpu as usize) {
-        *c = 0;
-    }
+    page.clear_counters_of(gpu);
     if page.home == Location::Gpu(gpu) {
         let new_home = (0..gpu_count)
             .find(|&g| page.replicas & (1 << g) != 0)
@@ -300,9 +398,7 @@ impl PageDirectory {
 
         // A genuine far fault: bump the heat counter before consulting the
         // policy, so a threshold of N migrates on the Nth fault.
-        if let Some(c) = page.fault_counts.get_mut(gpu as usize) {
-            *c += 1;
-        }
+        page.bump_fault(gpu);
         let decision = self.kind.on_fault(page, gpu, is_write);
         let stats = &mut self.stats;
 
@@ -317,8 +413,7 @@ impl PageDirectory {
                 }
                 page.remote_maps &= 1 << gpu;
                 page.home = Location::Gpu(gpu);
-                page.fault_counts.fill(0);
-                page.access_counts.fill(0);
+                page.clear_counters();
                 stats.migrations = stats.migrations.saturating_add(1);
                 OwnershipTransaction {
                     vpn,
@@ -356,8 +451,7 @@ impl PageDirectory {
                 }
                 page.home = Location::Gpu(gpu);
                 page.replicas = 0;
-                page.fault_counts.fill(0);
-                page.access_counts.fill(0);
+                page.clear_counters();
                 // The invalidated copies (minus the data source, whose FT
                 // key the migration itself rewrites) still have forwarding
                 // entries naming them as owners.
@@ -434,7 +528,7 @@ impl PageDirectory {
         if page.home != Location::Cpu && page.home != from {
             return None;
         }
-        if page.fault_counts.iter().any(|&c| c != 0) || page.access_counts.iter().any(|&c| c != 0) {
+        if page.heat() != 0 {
             return None;
         }
         let source = page.home;
@@ -478,9 +572,8 @@ impl PageDirectory {
         if page.home == Location::Gpu(gpu) {
             return None;
         }
-        let count = page.access_counts.get_mut(gpu as usize)?;
-        *count += 1;
-        if *count < migrate_threshold {
+        let count = page.bump_access(gpu)?;
+        if count < migrate_threshold {
             return None;
         }
         // Promote: migrate the page, invalidate every other mapping.
@@ -496,8 +589,7 @@ impl PageDirectory {
         }
         page.home = Location::Gpu(gpu);
         page.remote_maps = 0;
-        page.access_counts.fill(0);
-        page.fault_counts.fill(0);
+        page.clear_counters();
         stats.promotions = stats.promotions.saturating_add(1);
         stats.migrations = stats.migrations.saturating_add(1);
         Some(OwnershipTransaction {
@@ -633,8 +725,8 @@ impl PageDirectory {
                 home,
                 replicas,
                 remote_maps,
-                access_counts,
-                fault_counts,
+                gpus: _,     // equals the directory's `gpu_count`, mixed above
+                counters: _, // mixed per GPU through `counts`
             } = page;
             let home = match *home {
                 Location::Cpu => u64::MAX,
@@ -642,11 +734,11 @@ impl PageDirectory {
             };
             digest.mix(vpn).mix(home).mix(*replicas).mix(*remote_maps);
             // One word per GPU: the promotion counters steer later placement.
+            // Unallocated counters read as zeros, so they digest the same
+            // as allocated zero counters.
             digest.mix_all(
-                access_counts
-                    .iter()
-                    .zip(fault_counts)
-                    .map(|(&a, &f)| (u64::from(a) << 32) | u64::from(f)),
+                page.counts()
+                    .map(|(a, f)| (u64::from(a) << 32) | u64::from(f)),
             );
         }
         digest.finish()
@@ -690,17 +782,13 @@ impl PageDirectory {
                     page.remote_maps
                 ));
             }
-            if page.access_counts.len() != self.gpu_count as usize {
+            let counters = page
+                .counters
+                .as_ref()
+                .map_or(usize::from(page.gpus), |c| c.len());
+            if page.gpus != self.gpu_count || counters != usize::from(self.gpu_count) {
                 violations.push(format!(
-                    "page {vpn}: {} access counters for {} GPUs",
-                    page.access_counts.len(),
-                    self.gpu_count
-                ));
-            }
-            if page.fault_counts.len() != self.gpu_count as usize {
-                violations.push(format!(
-                    "page {vpn}: {} fault counters for {} GPUs",
-                    page.fault_counts.len(),
+                    "page {vpn}: {counters} counters for {} GPUs",
                     self.gpu_count
                 ));
             }
@@ -716,6 +804,45 @@ impl PageDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every GPU's far-fault counter for `vpn`.
+    fn fault_counts(d: &PageDirectory, vpn: u64) -> Vec<u32> {
+        d.page(vpn).unwrap().counts().map(|(_, f)| f).collect()
+    }
+
+    #[test]
+    fn cold_pages_own_no_counters_and_digest_as_zeroed_ones() {
+        let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 9 });
+        d.place(5, Location::Gpu(0));
+        d.place(6, Location::Gpu(1));
+        let page = d.page(5).unwrap();
+        assert!(page.counters.is_none(), "warm placement allocates nothing");
+        assert_eq!(
+            (page.heat(), page.fault_count(3), page.access_count(3)),
+            (0, 0, 0)
+        );
+        let mut zeroed = d.clone();
+        let p = zeroed.pages.get_mut(5).unwrap();
+        p.counters = Some(vec![Heat::default(); 4].into_boxed_slice());
+        assert_eq!(zeroed.page(5), d.page(5), "zero counters compare by value");
+        assert_eq!(zeroed.state_digest(), d.state_digest());
+        zeroed.audit().unwrap();
+        // The first far fault allocates; a migration frees the array again.
+        d.resolve_fault(5, 2, false); // remote map, fault count 1
+        assert_eq!(d.page(5).unwrap().fault_count(2), 1);
+        assert!(d.page(5).unwrap().counters.is_some());
+        assert_ne!(zeroed.state_digest(), d.state_digest());
+        for _ in 0..8 {
+            d.resolve_fault(5, 2, false);
+        }
+        assert_eq!(d.home(5), Location::Gpu(2));
+        assert!(
+            d.page(5).unwrap().counters.is_none(),
+            "migration frees heat"
+        );
+        assert!(d.page(6).unwrap().counters.is_none());
+        d.audit().unwrap();
+    }
 
     #[test]
     fn far_vpns_allocate_one_chunk_each() {
@@ -840,7 +967,7 @@ mod tests {
         let mut d = PageDirectory::with_policy(4, PolicyKind::FirstTouch);
         d.resolve_fault(5, 0, false);
         assert!(d.record_remote_access(5, 1).is_none());
-        assert!(d.page(5).unwrap().access_counts.iter().all(|&c| c == 0));
+        assert!(d.page(5).unwrap().counts().all(|(a, _)| a == 0));
     }
 
     #[test]
@@ -1102,11 +1229,11 @@ mod tests {
         let mut base = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 9 });
         base.place(5, Location::Gpu(0));
         let mut access = base.clone();
-        access.pages.get_mut(5).unwrap().access_counts[2] = 1;
+        access.pages.get_mut(5).unwrap().bump_access(2);
         let mut fault = base.clone();
-        fault.pages.get_mut(5).unwrap().fault_counts[2] = 1;
+        fault.pages.get_mut(5).unwrap().bump_fault(2);
         let mut other_gpu = base.clone();
-        other_gpu.pages.get_mut(5).unwrap().fault_counts[3] = 1;
+        other_gpu.pages.get_mut(5).unwrap().bump_fault(3);
         let digests = [&base, &access, &fault, &other_gpu].map(PageDirectory::state_digest);
         for (i, a) in digests.iter().enumerate() {
             for b in &digests[i + 1..] {
@@ -1141,11 +1268,7 @@ mod tests {
         assert_eq!(t.kind, TxnKind::Migrate);
         assert_eq!(t.source, Location::Gpu(0));
         assert_eq!(d.home(5), Location::Gpu(1));
-        assert_eq!(
-            d.page(5).unwrap().fault_counts,
-            vec![0; 4],
-            "heat reset on migrate"
-        );
+        assert_eq!(fault_counts(&d, 5), vec![0; 4], "heat reset on migrate");
         d.audit().unwrap();
     }
 
@@ -1236,12 +1359,12 @@ mod tests {
     fn evict_gpu_clears_fault_heat_for_the_evicted_gpu_only() {
         let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 9 });
         d.resolve_fault(5, 0, false); // home on 0
-        d.resolve_fault(5, 1, false); // remote map, fault_counts[1] = 1
-        d.resolve_fault(5, 2, false); // remote map, fault_counts[2] = 1
-        assert_eq!(d.page(5).unwrap().fault_counts, vec![0, 1, 1, 0]);
+        d.resolve_fault(5, 1, false); // remote map, fault_count(1) == 1
+        d.resolve_fault(5, 2, false); // remote map, fault_count(2) == 1
+        assert_eq!(fault_counts(&d, 5), vec![0, 1, 1, 0]);
         d.evict_gpu(1);
         assert_eq!(
-            d.page(5).unwrap().fault_counts,
+            fault_counts(&d, 5),
             vec![0, 0, 1, 0],
             "rejoined GPU must not inherit pre-failure heat"
         );
@@ -1252,7 +1375,7 @@ mod tests {
     fn cloned_directory_keeps_policy_behaviour() {
         let mut d = PageDirectory::with_policy(4, PolicyKind::DelayedMigration { threshold: 2 });
         d.resolve_fault(5, 0, false);
-        d.resolve_fault(5, 1, false); // fault_counts[1] = 1
+        d.resolve_fault(5, 1, false); // fault_count(1) == 1
         let mut c = d.clone();
         let t = c.resolve_fault(5, 1, false);
         assert_eq!(t.kind, TxnKind::Migrate, "clone kept the heat counters");

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ptw::GpuId;
 use sim_core::checkpoint::StateDigest;
 
-use crate::directory::PageDirectory;
+use crate::directory::{PageDirectory, PageState};
 use crate::policy::{OwnershipTransaction, TxnKind};
 
 /// Which victim-selection policy the engine runs.
@@ -217,11 +217,7 @@ impl EvictionEngine {
     fn heat(&self, dir: &PageDirectory, vpn: u64) -> u64 {
         match self.policy {
             EvictPolicy::Lru => 0,
-            EvictPolicy::AccessCounter => dir.page(vpn).map_or(0, |p| {
-                let f: u64 = p.fault_counts.iter().map(|&c| u64::from(c)).sum();
-                let a: u64 = p.access_counts.iter().map(|&c| u64::from(c)).sum();
-                f + a
-            }),
+            EvictPolicy::AccessCounter => dir.page(vpn).map_or(0, PageState::heat),
         }
     }
 

@@ -92,7 +92,7 @@ impl PolicyKind {
 
     /// Decides how to resolve a far fault by `gpu` on a page currently in
     /// state `page`. The directory has already filtered already-resident
-    /// faults and bumped `page.fault_counts[gpu]`.
+    /// faults and bumped `page.fault_count(gpu)`.
     pub fn on_fault(self, page: &PageState, gpu: GpuId, is_write: bool) -> PolicyDecision {
         match self {
             PolicyKind::FirstTouch | PolicyKind::PrefetchNeighborhood { .. } => {
@@ -102,11 +102,7 @@ impl PolicyKind {
                 if page.home == Location::Cpu {
                     // Cold pages have no remote owner to borrow from.
                     PolicyDecision::Migrate
-                } else if page
-                    .fault_counts
-                    .get(gpu as usize)
-                    .is_some_and(|&c| c >= threshold)
-                {
+                } else if page.fault_count(gpu) >= threshold {
                     PolicyDecision::Migrate
                 } else {
                     PolicyDecision::RemoteMap
@@ -272,9 +268,11 @@ mod tests {
         // Cold page: nothing to borrow, migrate.
         assert_eq!(p.on_fault(&s, 1, false), PolicyDecision::Migrate);
         s.home = Location::Gpu(0);
-        s.fault_counts[1] = 1;
+        s.bump_fault(1);
         assert_eq!(p.on_fault(&s, 1, false), PolicyDecision::RemoteMap);
-        s.fault_counts[1] = 3;
+        s.bump_fault(1);
+        s.bump_fault(1);
+        assert_eq!(s.fault_count(1), 3);
         assert_eq!(p.on_fault(&s, 1, false), PolicyDecision::Migrate);
         assert_eq!(p.remote_access_threshold(), Some(3));
     }

@@ -198,9 +198,11 @@ fn page_table_walks_match_model() {
 }
 
 /// `VpnMap` agrees with a `BTreeMap` model on every call, over dense keys,
-/// keys around a 512-key chunk boundary and sparse keys up to `u64::MAX`.
-/// After each step the length, the chunk count (one per occupied 512-key
-/// run, so drained chunks are freed) and the full ordered iteration match.
+/// keys around a 512-key chunk boundary, keys either side of the 2^24
+/// cutoff between directly indexed and B-tree chunks, and sparse keys up to
+/// `u64::MAX`. After each step the length, the chunk count (one per
+/// occupied 512-key run, so drained chunks are freed) and the full ordered
+/// iteration match.
 #[test]
 fn vpn_map_matches_btreemap() {
     for case in 0..CASES {
@@ -212,9 +214,10 @@ fn vpn_map_matches_btreemap() {
         let mut map: VpnMap<u64> = VpnMap::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for step in 0..400u64 {
-            let key = match rng.gen_range(3) {
+            let key = match rng.gen_range(4) {
                 0 => rng.gen_range(4096),
                 1 => [0, 511, 512, 513, 1023, 1024][rng.gen_index(6)],
+                2 => (1 << 24) - 1024 + rng.gen_range(2048),
                 _ => sparse[rng.gen_index(sparse.len())],
             };
             match rng.gen_range(6) {
@@ -253,6 +256,69 @@ fn vpn_map_matches_btreemap() {
             *v *= 3;
         }
         assert!(map.iter().eq(model.iter().map(|(&k, v)| (k, v))));
+    }
+}
+
+/// `Mshr` agrees with a `BTreeMap<u64, Vec<W>>` model on every call:
+/// each registration's outcome (`Primary`, `Merged` or `Full` at the
+/// capacity), the waiters `complete` and `complete_into` release and their
+/// order, `len`, `is_outstanding` and the outcome counters.
+#[test]
+fn mshr_matches_btreemap() {
+    const CAPACITY: usize = 6;
+    for case in 0..CASES {
+        let mut rng = SimRng::stream(0x3512 ^ case, Stream::Root, 0);
+        let mut mshr: Mshr<u64> = Mshr::new(CAPACITY);
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let (mut primaries, mut merged, mut stalls) = (0, 0, 0);
+        let mut out = Vec::new();
+        for step in 0..300u64 {
+            let vpn = rng.gen_range(10);
+            match rng.gen_range(5) {
+                0..=2 => {
+                    let want = if let Some(waiters) = model.get_mut(&vpn) {
+                        waiters.push(step);
+                        merged += 1;
+                        MshrOutcome::Merged
+                    } else if model.len() >= CAPACITY {
+                        stalls += 1;
+                        MshrOutcome::Full
+                    } else {
+                        model.insert(vpn, vec![step]);
+                        primaries += 1;
+                        MshrOutcome::Primary
+                    };
+                    assert_eq!(mshr.register(vpn, step), want, "case {case} step {step}");
+                }
+                3 => {
+                    let want = model.remove(&vpn).unwrap_or_default();
+                    assert_eq!(mshr.complete(vpn), want, "case {case} step {step}");
+                }
+                _ => {
+                    // Appends after whatever the buffer already holds.
+                    let kept = out.len();
+                    mshr.complete_into(vpn, &mut out);
+                    let want = model.remove(&vpn).unwrap_or_default();
+                    assert_eq!(out[kept..], want, "case {case} step {step}");
+                    if out.len() > 8 {
+                        out.clear();
+                    }
+                }
+            }
+            assert_eq!(mshr.len(), model.len());
+            assert_eq!(mshr.is_empty(), model.is_empty());
+            for v in 0..10 {
+                assert_eq!(mshr.is_outstanding(v), model.contains_key(&v));
+            }
+            assert_eq!(
+                (
+                    mshr.primary_count(),
+                    mshr.merged_count(),
+                    mshr.stall_count()
+                ),
+                (primaries, merged, stalls)
+            );
+        }
     }
 }
 
